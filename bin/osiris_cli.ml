@@ -192,10 +192,9 @@ let survive_cmd =
   in
   let run model sample seed jobs =
     setup_logs ();
-    ignore seed;
     let pool_stats = ref None in
     let rows =
-      Campaign.survivability ~sample ~jobs
+      Campaign.survivability ~seed ~sample ~jobs
         ~stats:(fun s -> pool_stats := Some s)
         ~progress:sweep_progress model Policy.all_evaluated
     in
@@ -225,7 +224,6 @@ let disrupt_cmd =
   in
   let run name seed jobs =
     setup_logs ();
-    ignore seed;
     match Unixbench.find name with
     | None ->
       Printf.eprintf "unknown benchmark %S
@@ -239,7 +237,7 @@ let disrupt_cmd =
              r.Disruption.dis_interval r.Disruption.dis_score
              r.Disruption.dis_restarts
              (if r.Disruption.dis_completed then "ok" else "DEGRADED"))
-        (Disruption.sweep ~jobs bench);
+        (Disruption.sweep ~seed ~jobs bench);
       0
   in
   Cmd.v (Cmd.info "disrupt" ~doc:"Service-disruption sweep (Figure 3).")

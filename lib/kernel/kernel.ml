@@ -294,9 +294,9 @@ type req = {
 }
 
 type tstate =
-  | T_ready of unit Prog.t
-  | T_call_wait of { callee : Endpoint.t; k : Message.t -> unit Prog.t }
-  | T_recv_wait of { k : Endpoint.t * Message.t -> unit Prog.t }
+  | T_ready of Prog.view
+  | T_call_wait of { callee : Endpoint.t; k : (Message.t, unit) Prog.kont }
+  | T_recv_wait of { k : (Endpoint.t * Message.t, unit) Prog.kont }
 
 type thread = {
   tid : int;
@@ -443,6 +443,7 @@ type t = {
   mutable n_crashes : int;
   mutable n_restarts : int;
   mutable n_orphans : int;
+  mutable n_machine_checks : int;
   mutable n_delivered : int;
   mutable n_users : int;
   mutable live_users : int;
@@ -501,6 +502,7 @@ let create cfg =
     n_crashes = 0;
     n_restarts = 0;
     n_orphans = 0;
+    n_machine_checks = 0;
     n_delivered = 0;
     n_users = 0;
     live_users = 0;
@@ -947,13 +949,20 @@ let set_site_recorder t recorder =
   refresh_siting t
 let set_halt_on_exit t ep = t.halt_on_exit <- Some ep
 
-let fresh_thread t p ?(started = true) ?req prog =
+let fresh_thread t p ?(started = true) ?req view =
   let tid = p.tid_counter in
   p.tid_counter <- p.tid_counter + 1;
   let cause = match req with Some r -> r.rq_rid | None -> 0 in
-  { tid; tstate = T_ready prog; treq = req; started; cause;
+  { tid; tstate = T_ready view; treq = req; started; cause;
     root = root_of t cause; out_rid = 0;
     occ = Array.make n_op_kinds 0 }
+
+(* A user thread's way out — a failure, a return without exit(), a
+   machine check, a kill — is an exit through PM, so the process table
+   stays consistent. *)
+let exit_via_pm status =
+  T_ready (Prog.start (Prog.map ignore
+                         (Prog.call Endpoint.pm (Message.Exit { status }))))
 
 let proc_of t ep = Hashtbl.find_opt t.procs ep
 
@@ -994,7 +1003,7 @@ let wake_receiver t p =
     match find p.threads with
     | None -> ()
     | Some (th, k) ->
-      th.tstate <- T_ready (Prog.Receive k);
+      th.tstate <- T_ready (Prog.Op (Prog.Receive, k));
       Queue.push th p.runq;
       schedule t p
   end
@@ -1240,7 +1249,7 @@ and k_go t p =
    | Server_proc ->
      (match p.loop_prog with
       | Some loop ->
-        let th = fresh_thread t p loop in
+        let th = fresh_thread t p (Prog.start loop) in
         p.threads <- p.threads @ [ th ];
         Queue.push th p.runq
       | None -> ())
@@ -1279,7 +1288,7 @@ and k_reply_error t ~target ~err =
        if observed t then
          emit_reply t ~time:t.global_now ~src:callee ~dst:target
            ~tag:(Message.Tag.of_msg (Message.R_err err)) ~rid:th.out_rid;
-       th.tstate <- T_ready (k (Message.R_err err));
+       th.tstate <- T_ready (Prog.resume k (Message.R_err err));
        sync_to t rp sl_wait_reply t.global_now;
        Queue.push th rp.runq;
        schedule t rp;
@@ -1371,7 +1380,8 @@ let add_server t srv =
       prof = (if t.profiling then prof_row () else [||]) }
   in
   let main =
-    fresh_thread t p (Prog.bind srv.srv_init (fun () -> srv.srv_loop))
+    fresh_thread t p
+      (Prog.start (Prog.bind srv.srv_init (fun () -> srv.srv_loop)))
   in
   p.threads <- [ main ];
   Queue.push main p.runq;
@@ -1379,7 +1389,7 @@ let add_server t srv =
   t.servers <- t.servers @ [ srv.srv_ep ];
   schedule t p
 
-let spawn_user_at t ~at ~name ~prog ~parent =
+let spawn_at t ~at ~name ~view ~parent =
   let start = if at > t.global_now then at else t.global_now in
   let ep = t.next_user_ep in
   t.next_user_ep <- t.next_user_ep + 1;
@@ -1421,7 +1431,7 @@ let spawn_user_at t ~at ~name ~prog ~parent =
       exit_vtime = -1;
       prof = (if t.profiling then prof_row () else [||]) }
   in
-  let th = fresh_thread t p prog in
+  let th = fresh_thread t p view in
   p.threads <- [ th ];
   Queue.push th p.runq;
   Hashtbl.replace t.procs ep p;
@@ -1436,6 +1446,9 @@ let spawn_user_at t ~at ~name ~prog ~parent =
   cycles t p sl_wait_spawn start;
   schedule t p;
   ep
+
+let spawn_user_at t ~at ~name ~prog ~parent =
+  spawn_at t ~at ~name ~view:(Prog.start prog) ~parent
 
 let spawn_user t ~name ~prog ~parent =
   spawn_user_at t ~at:min_int ~name ~prog ~parent
@@ -1476,7 +1489,7 @@ let live_update_internal t ep loop =
       (* Retire the old loop thread(s) and start the new code over the
          preserved state, exactly like a recovered clone. *)
       p.threads <- [];
-      let th = fresh_thread t p loop in
+      let th = fresh_thread t p (Prog.start loop) in
       p.threads <- [ th ];
       Queue.push th p.runq;
       sync_to t p sl_wait_resume t.global_now;
@@ -1512,9 +1525,9 @@ let exec_kcall t p kc : Prog.kresult =
        (match find_k pp.threads with
         | None -> Prog.Kr_err Errno.EINVAL
         | Some k ->
-          let child_prog = k (Message.R_fork { child = 0 }) in
+          let child = Prog.resume k (Message.R_fork { child = 0 }) in
           let cep =
-            spawn_user t ~name:(pp.pname ^ "+") ~prog:child_prog ~parent
+            spawn_at t ~at:min_int ~name:(pp.pname ^ "+") ~view:child ~parent
           in
           let cp = get_proc t cep in
           (* The child starts running only after PM finishes the fork
@@ -1529,7 +1542,7 @@ let exec_kcall t p kc : Prog.kresult =
        (match t.cfg.lookup_program path with
         | None -> Prog.Kr_err Errno.ENOENT
         | Some f ->
-          let th = fresh_thread t pp (f arg) in
+          let th = fresh_thread t pp (Prog.start (f arg)) in
           pp.threads <- [ th ];
           Queue.clear pp.runq;
           pp.active <- None;
@@ -1628,13 +1641,7 @@ let exec_kcall t p kc : Prog.kresult =
      | Some rp when rp.kind = User_proc && rp.alive ->
        (* Terminate through the normal exit path so PM/VM/VFS clean up
           every trace of the requester. *)
-       List.iter
-         (fun th ->
-            th.tstate <-
-              T_ready
-                (Prog.Call (Endpoint.pm, Message.Exit { status = 137 },
-                            fun _ -> Prog.Done ())))
-         rp.threads;
+       List.iter (fun th -> th.tstate <- exit_via_pm 137) rp.threads;
        Queue.clear rp.runq;
        (match rp.threads with
         | th :: _ ->
@@ -1764,55 +1771,56 @@ let finish_thread t p th =
    | User_proc ->
      (* A user program that returns without calling exit() is given an
         implicit exit(0) through PM, keeping the process table sound. *)
-     th.tstate <-
-       T_ready (Prog.Call (Endpoint.pm, Message.Exit { status = 0 },
-                           fun _ -> Prog.Done ()));
+     th.tstate <- exit_via_pm 0;
      ignore t)
+
+(* An injected hang: the process stops, and only the heartbeat check
+   due [hang_detect_cycles] later can notice it. *)
+let park_hung t p =
+  p.hung <- true;
+  push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
+  raise Thread_parked
 
 (* Execute exactly one operation of the active thread. Raises
    Thread_parked / Thread_finished to signal scheduling changes. *)
-let step t p th prog =
+let step t p th view =
   let costs = t.cfg.costs in
   t.n_ops <- t.n_ops + 1;
   if t.n_ops > t.cfg.max_ops then halt t H_hang;
-  match prog with
-  | Prog.Done () -> finish_thread t p th; raise Thread_finished
-  | Prog.Fail reason ->
+  match view with
+  | Prog.Finished -> finish_thread t p th; raise Thread_finished
+  | Prog.Failed reason ->
     (match p.kind with
      | Server_proc -> crash_proc t p reason; raise Thread_finished
      | User_proc ->
        (* Abnormal user termination: routed through PM as exit(255) so
           the process table stays consistent. *)
        Log.debug (fun m -> m "user %s fail-stop: %s" p.pname reason);
-       th.tstate <-
-         T_ready (Prog.Call (Endpoint.pm, Message.Exit { status = 255 },
-                             fun _ -> Prog.Done ())))
-  | Prog.Compute (c, k) ->
+       th.tstate <- exit_via_pm 255)
+  | Prog.Op (op, k) ->
+  match op with
+  | Prog.Compute c ->
     coverage t p;
     (match op_site t p th Op_compute with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-     | Some F_hang -> p.hung <- true;
-       push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-       raise Thread_parked
+     | Some F_hang -> park_hung t p
      | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
      | _ -> ());
     charge t p sl_compute (max c 1);
-    th.tstate <- T_ready (k ())
-  | Prog.Load (off, k) ->
+    th.tstate <- T_ready (Prog.resume k ())
+  | Prog.Load off ->
     coverage t p;
     (match p.image with
      | None -> panic t (p.pname ^ ": memory op in user process"); raise Thread_finished
      | Some img ->
        (match op_site t p th Op_load with
         | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-        | Some F_hang -> p.hung <- true;
-          push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-          raise Thread_parked
+        | Some F_hang -> park_hung t p
         | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
         | _ -> ());
        charge t p sl_load costs.Costs.c_load;
-       th.tstate <- T_ready (k (Memimage.get_word img off)))
-  | Prog.Store (off, v, k) ->
+       th.tstate <- T_ready (Prog.resume k (Memimage.get_word img off)))
+  | Prog.Store (off, v) ->
     coverage t p;
     (match p.image with
      | None -> panic t (p.pname ^ ": memory op in user process"); raise Thread_finished
@@ -1820,9 +1828,7 @@ let step t p th prog =
        let action = op_site t p th Op_store in
        (match action with
         | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-        | Some F_hang -> p.hung <- true;
-          push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-          raise Thread_parked
+        | Some F_hang -> park_hung t p
         | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
         | _ -> ());
        let logged =
@@ -1837,8 +1843,8 @@ let step t p th prog =
         | Some F_corrupt_store ->
           Memimage.set_word img off (v lxor (1 lsl Osiris_util.Rng.int t.rng 16))
         | _ -> Memimage.set_word img off v);
-       th.tstate <- T_ready (k ()))
-  | Prog.Load_str { off; len; k } ->
+       th.tstate <- T_ready (Prog.resume k ()))
+  | Prog.Load_str { off; len } ->
     coverage t p;
     (match p.image with
      | None -> panic t (p.pname ^ ": memory op in user process"); raise Thread_finished
@@ -1848,8 +1854,8 @@ let step t p th prog =
         | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
         | _ -> ());
        charge t p sl_load (costs.Costs.c_load + (len / 8));
-       th.tstate <- T_ready (k (Memimage.get_string img ~off ~len)))
-  | Prog.Store_str { off; len; v; k } ->
+       th.tstate <- T_ready (Prog.resume k (Memimage.get_string img ~off ~len)))
+  | Prog.Store_str { off; len; v } ->
     coverage t p;
     (match p.image with
      | None -> panic t (p.pname ^ ": memory op in user process"); raise Thread_finished
@@ -1877,16 +1883,13 @@ let step t p th prog =
                  | Diag { line } -> line
                  | _ -> v))
         | _ -> Memimage.set_string img ~off ~len v);
-       th.tstate <- T_ready (k ()))
-  | Prog.Send (dst, msg, k) ->
+       th.tstate <- T_ready (Prog.resume k ()))
+  | Prog.Send (dst, msg) ->
     coverage t p;
     let action = op_site t p th Op_send in
     (match action with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-     | Some F_hang ->
-       p.hung <- true;
-       push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-       raise Thread_parked
+     | Some F_hang -> park_hung t p
      | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
      | _ -> ());
     let msg =
@@ -1905,16 +1908,13 @@ let step t p th prog =
      else
        deliver_to_inbox t ~src:p.ep ~src_tid:th.tid ~call:false
          ~rid:(alloc_rid t) ~parent:th.cause dst msg);
-    th.tstate <- T_ready (k ())
-  | Prog.Call (dst, msg, k) ->
+    th.tstate <- T_ready (Prog.resume k ())
+  | Prog.Call (dst, msg) ->
     coverage t p;
     let action = op_site t p th Op_call in
     (match action with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-     | Some F_hang ->
-       p.hung <- true;
-       push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-       raise Thread_parked
+     | Some F_hang -> park_hung t p
      | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
      | _ -> ());
     let msg =
@@ -1930,7 +1930,7 @@ let step t p th prog =
       (match msg, t.cfg.log_sink with
        | Message.Diag { line }, Some sink -> sink line
        | _ -> ());
-      th.tstate <- T_ready (k (Message.R_ok 0))
+      th.tstate <- T_ready (Prog.resume k (Message.R_ok 0))
     end
     else begin
       let rid = alloc_rid t in
@@ -1941,7 +1941,7 @@ let step t p th prog =
       deactivate t p;
       raise Thread_parked
     end
-  | Prog.Receive k ->
+  | Prog.Receive ->
     coverage t p;
     (* Back at the top of the loop: the previous request is done and its
        effects are committed — even when the handler sent no reply (a
@@ -1954,10 +1954,7 @@ let step t p th prog =
     th.root <- 0;
     (match op_site t p th Op_receive with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-     | Some F_hang ->
-       p.hung <- true;
-       push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-       raise Thread_parked
+     | Some F_hang -> park_hung t p
      | _ -> ());
     charge t p sl_receive costs.Costs.c_receive;
     if p.kind = User_proc then begin
@@ -1988,17 +1985,14 @@ let step t p th prog =
       end;
       Array.fill th.occ 0 n_op_kinds 0;
       open_handler_window ~rid:entry.ib_rid t p;
-      th.tstate <- T_ready (k (entry.ib_src, entry.ib_msg))
+      th.tstate <- T_ready (Prog.resume k (entry.ib_src, entry.ib_msg))
     end
-  | Prog.Reply (dst, msg, k) ->
+  | Prog.Reply (dst, msg) ->
     coverage t p;
     let action = op_site t p th Op_reply in
     (match action with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-     | Some F_hang ->
-       p.hung <- true;
-       push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-       raise Thread_parked
+     | Some F_hang -> park_hung t p
      | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
      | _ -> ());
     let msg =
@@ -2044,37 +2038,34 @@ let step t p th prog =
              if observed t then
                emit_reply t ~time:p.vtime ~src:p.ep ~dst
                  ~tag:(Message.Tag.of_msg msg) ~rid:th'.out_rid;
-             th'.tstate <- T_ready (k' msg);
+             th'.tstate <- T_ready (Prog.resume k' msg);
              sync_to t rp sl_wait_reply p.vtime;
              Queue.push th' rp.runq;
              schedule t rp
            | _ -> assert false)));
-    th.tstate <- T_ready (k ())
-  | Prog.Yield k ->
+    th.tstate <- T_ready (Prog.resume k ())
+  | Prog.Yield ->
     coverage t p;
     charge t p sl_yield costs.Costs.c_yield;
-    th.tstate <- T_ready (k ());
+    th.tstate <- T_ready (Prog.resume k ());
     Queue.push th p.runq;
     deactivate t p;
     raise Thread_parked
-  | Prog.Spawn (prog, k) ->
+  | Prog.Spawn prog ->
     coverage t p;
     (match op_site t p th Op_spawn with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
      | _ -> ());
     charge t p sl_spawn costs.Costs.c_spawn;
-    let nth = fresh_thread t p ~started:false ?req:th.treq prog in
+    let nth = fresh_thread t p ~started:false ?req:th.treq (Prog.start prog) in
     p.threads <- p.threads @ [ nth ];
     Queue.push nth p.runq;
-    th.tstate <- T_ready (k ())
-  | Prog.Kcall (kc, k) ->
+    th.tstate <- T_ready (Prog.resume k ())
+  | Prog.Kcall kc ->
     coverage t p;
     (match op_site t p th Op_kcall with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
-     | Some F_hang ->
-       p.hung <- true;
-       push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
-       raise Thread_parked
+     | Some F_hang -> park_hung t p
      | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
      | _ -> ());
     charge t p (kcall_slot kc) costs.Costs.c_kcall;
@@ -2089,15 +2080,15 @@ let step t p th prog =
       policy_close ~rid:th.cause t p cls
     end;
     let r = exec_kcall t p kc in
-    th.tstate <- T_ready (k r)
-  | Prog.Rand (bound, k) ->
+    th.tstate <- T_ready (Prog.resume k r)
+  | Prog.Rand bound ->
     coverage t p;
     charge t p sl_rand 1;
-    th.tstate <- T_ready (k (Osiris_util.Rng.int t.rng (max bound 1)))
-  | Prog.Now k ->
+    th.tstate <- T_ready (Prog.resume k (Osiris_util.Rng.int t.rng (max bound 1)))
+  | Prog.Now ->
     coverage t p;
     charge t p sl_now 1;
-    th.tstate <- T_ready (k p.vtime)
+    th.tstate <- T_ready (Prog.resume k p.vtime)
 
 (* Activate the next ready thread of [p], handling window bookkeeping
    for handler threads that start running for the first time. *)
@@ -2128,6 +2119,7 @@ let activate_next t p =
    are absorbed; anything else (Assert_failure, Out_of_memory, ...)
    still propagates as a harness bug. *)
 let machine_check t p th exn =
+  t.n_machine_checks <- t.n_machine_checks + 1;
   let reason =
     Printf.sprintf "machine check: %s" (Printexc.to_string exn)
   in
@@ -2135,9 +2127,7 @@ let machine_check t p th exn =
   | Server_proc -> crash_proc t p reason
   | User_proc ->
     Log.debug (fun m -> m "user %s %s" p.pname reason);
-    th.tstate <-
-      T_ready (Prog.Call (Endpoint.pm, Message.Exit { status = 255 },
-                          fun _ -> Prog.Done ()))
+    th.tstate <- exit_via_pm 255
 
 let exec_proc t p =
   let continue = ref true in
@@ -2149,8 +2139,8 @@ let exec_proc t p =
       | None -> continue := false
       | Some th ->
         (match th.tstate with
-         | T_ready prog ->
-           (try step t p th prog with
+         | T_ready view ->
+           (try step t p th view with
             | Thread_parked -> ()
             | Thread_finished -> ()
             | (Invalid_argument _ | Failure _ | Not_found
@@ -2328,6 +2318,7 @@ let recovery_episodes t = t.episode_log
 let crashes t = t.n_crashes
 let restarts t = t.n_restarts
 let orphaned_replies t = t.n_orphans
+let machine_checks t = t.n_machine_checks
 let messages_delivered t = t.n_delivered
 
 let run_queue_depth t = t.run_items

@@ -1,7 +1,7 @@
 (** The discrete-event microkernel.
 
     The kernel owns the virtual clock, schedules processes by virtual
-    time, interprets {!Prog.t} operation trees one step at a time, and
+    time, interprets {!Prog.t} programs one primitive at a time, and
     implements the privileged mechanics of OSIRIS' recovery protocol
     (restart / rollback / reconciliation primitives invoked by the
     Recovery Server through [Kcall]s).
@@ -516,6 +516,12 @@ val crashes : t -> int
 val restarts : t -> int
 
 val orphaned_replies : t -> int
+
+val machine_checks : t -> int
+(** Host exceptions (out-of-bounds [Layout] access, [Failure],
+    [Not_found], division by zero) raised by simulated code and turned
+    into a crash of the offending process. Only injected corruption can
+    provoke one, so a fault-free run records 0. *)
 
 val messages_delivered : t -> int
 

@@ -27,45 +27,70 @@ and kresult =
           (* a requester-local SEEP was crossed inside the window *)
     }
 
+and 'a op =
+  | Compute : int -> unit op
+  | Load : int -> int op
+  | Store : int * int -> unit op
+  | Load_str : { off : int; len : int } -> string op
+  | Store_str : { off : int; len : int; v : string } -> unit op
+  | Send : Endpoint.t * Message.t -> unit op
+  | Call : Endpoint.t * Message.t -> Message.t op
+  | Receive : (Endpoint.t * Message.t) op
+  | Reply : Endpoint.t * Message.t -> unit op
+  | Yield : unit op
+  | Spawn : unit t -> unit op
+  | Kcall : kcall -> kresult op
+  | Rand : int -> int op
+  | Now : int op
+
 and 'a t =
-  | Done of 'a
-  | Fail of string
-  | Compute of int * (unit -> 'a t)
-  | Load of int * (int -> 'a t)
-  | Store of int * int * (unit -> 'a t)
-  | Load_str of { off : int; len : int; k : string -> 'a t }
-  | Store_str of { off : int; len : int; v : string; k : unit -> 'a t }
-  | Send of Endpoint.t * Message.t * (unit -> 'a t)
-  | Call of Endpoint.t * Message.t * (Message.t -> 'a t)
-  | Receive of (Endpoint.t * Message.t -> 'a t)
-  | Reply of Endpoint.t * Message.t * (unit -> 'a t)
-  | Yield of (unit -> 'a t)
-  | Spawn of unit t * (unit -> 'a t)
-  | Kcall of kcall * (kresult -> 'a t)
-  | Rand of int * (int -> 'a t)
-  | Now of (int -> 'a t)
+  | Done : 'a -> 'a t
+  | Fail : string -> 'a t
+  | Prim : 'a op -> 'a t
+  | Bind : 'b t * ('b -> 'a t) -> 'a t
+
+(* A type-aligned stack of pending [bind] continuations: a value of
+   type ['a] flows in at the top and a ['b] comes out at the bottom. *)
+type ('a, 'b) kont =
+  | Nil : ('a, 'a) kont
+  | Frame : ('a -> 'b t) * ('b, 'c) kont -> ('a, 'c) kont
+
+type view =
+  | Op : 'a op * ('a, unit) kont -> view
+  | Finished
+  | Failed of string
 
 let return x = Done x
 
-let rec bind p f =
+(* O(1): the argument is never walked. [Done] applies [f] on the spot,
+   so the code after a pure prefix runs at construction time, before
+   the kernel sees the program. *)
+let bind p f =
   match p with
   | Done x -> f x
   | Fail msg -> Fail msg
-  | Compute (c, k) -> Compute (c, fun () -> bind (k ()) f)
-  | Load (off, k) -> Load (off, fun v -> bind (k v) f)
-  | Store (off, v, k) -> Store (off, v, fun () -> bind (k ()) f)
-  | Load_str { off; len; k } -> Load_str { off; len; k = (fun s -> bind (k s) f) }
-  | Store_str { off; len; v; k } ->
-    Store_str { off; len; v; k = (fun () -> bind (k ()) f) }
-  | Send (dst, m, k) -> Send (dst, m, fun () -> bind (k ()) f)
-  | Call (dst, m, k) -> Call (dst, m, fun r -> bind (k r) f)
-  | Receive k -> Receive (fun src_msg -> bind (k src_msg) f)
-  | Reply (dst, m, k) -> Reply (dst, m, fun () -> bind (k ()) f)
-  | Yield k -> Yield (fun () -> bind (k ()) f)
-  | Spawn (prog, k) -> Spawn (prog, fun () -> bind (k ()) f)
-  | Kcall (c, k) -> Kcall (c, fun r -> bind (k r) f)
-  | Rand (bound, k) -> Rand (bound, fun v -> bind (k v) f)
-  | Now k -> Now (fun v -> bind (k v) f)
+  | _ -> Bind (p, f)
+
+(* Eager normalisation: push the continuations of [Bind]s while
+   descending to the leftmost node, and pop them as values arrive,
+   until the next primitive is reached. The two functions only call
+   each other in tail position, so any nesting depth runs in constant
+   stack. *)
+let rec descend : type a. a t -> (a, unit) kont -> view =
+  fun p k ->
+  match p with
+  | Prim op -> Op (op, k)
+  | Bind (q, f) -> descend q (Frame (f, k))
+  | Done x -> resume k x
+  | Fail msg -> Failed msg
+
+and resume : type a. (a, unit) kont -> a -> view =
+  fun k x ->
+  match k with
+  | Nil -> Finished
+  | Frame (f, k) -> descend (f x) k
+
+let start p = descend p Nil
 
 let map f p = bind p (fun x -> Done (f x))
 
@@ -76,20 +101,20 @@ module Syntax = struct
   let ( >> ) a b = bind a (fun () -> b)
 end
 
-let compute c = Compute (c, fun () -> Done ())
-let load off = Load (off, fun v -> Done v)
-let store off v = Store (off, v, fun () -> Done ())
-let load_str ~off ~len = Load_str { off; len; k = (fun s -> Done s) }
-let store_str ~off ~len v = Store_str { off; len; v; k = (fun () -> Done ()) }
-let send dst m = Send (dst, m, fun () -> Done ())
-let call dst m = Call (dst, m, fun r -> Done r)
-let receive = Receive (fun src_msg -> Done src_msg)
-let reply dst m = Reply (dst, m, fun () -> Done ())
-let yield = Yield (fun () -> Done ())
-let spawn prog = Spawn (prog, fun () -> Done ())
-let kcall c = Kcall (c, fun r -> Done r)
-let rand bound = Rand (bound, fun v -> Done v)
-let now = Now (fun v -> Done v)
+let compute c = Prim (Compute c)
+let load off = Prim (Load off)
+let store off v = Prim (Store (off, v))
+let load_str ~off ~len = Prim (Load_str { off; len })
+let store_str ~off ~len v = Prim (Store_str { off; len; v })
+let send dst m = Prim (Send (dst, m))
+let call dst m = Prim (Call (dst, m))
+let receive = Prim Receive
+let reply dst m = Prim (Reply (dst, m))
+let yield = Prim Yield
+let spawn prog = Prim (Spawn prog)
+let kcall c = Prim (Kcall c)
+let rand bound = Prim (Rand bound)
+let now = Prim Now
 let fail msg = Fail msg
 
 let when_ cond p = if cond then p else Done ()

@@ -2,11 +2,12 @@
     operation trees.
 
     In the original OSIRIS, servers are C programs whose stores and IPC
-    call sites are instrumented by LLVM passes. Here, programs are free-
-    monad values: each node is one observable operation — a memory
-    access, an IPC interaction, simulated computation, or a privileged
-    kernel call. The kernel interprets programs one operation at a time,
-    which yields exactly the hooks the paper's instrumentation provides:
+    call sites are instrumented by LLVM passes. Here, programs are
+    values of a freer monad: every primitive {!op} is one observable
+    operation — a memory access, an IPC interaction, simulated
+    computation, or a privileged kernel call. The kernel interprets
+    programs one operation at a time, which yields exactly the hooks
+    the paper's instrumentation provides:
 
     - every [Store] passes through the component's write hook (undo
       logging while the recovery window is open);
@@ -15,6 +16,17 @@
     - every executed operation is a coverage unit (Table I) and a
       potential fault site (Tables II/III);
     - every operation carries a simulated cycle cost (Tables IV/V).
+
+    Representation. A program is [Done], [Fail], a continuation-free
+    primitive, or one [Bind] node: {!bind} is O(1) and never walks its
+    argument (except that [bind (return x) f] applies [f x] on the
+    spot). Pending continuations live in a type-aligned, immutable
+    {!kont} stack that only this module builds or inspects. The kernel
+    drives a program through {!view}s: {!start} yields the first
+    primitive with the stack that consumes its result, and {!resume}
+    feeds a result in, runs the user continuations up to the next
+    primitive, and yields that. A parked stack can be resumed any
+    number of times (fork resumes one twice).
 
     Programs must be deterministic: randomness comes from [Rand] (the
     kernel's seeded stream) and time from [Now] (the virtual clock). *)
@@ -65,32 +77,55 @@ and kresult =
           (* a requester-local SEEP was crossed inside the window *)
     }
 
-and 'a t =
-  | Done of 'a
-  | Fail of string
-      (** Fail-stop crash of the executing component (the NULL-deref /
-          failed-assertion analogue). *)
-  | Compute of int * (unit -> 'a t)  (** Burn n simulated cycles. *)
-  | Load of int * (int -> 'a t)      (** Word load, absolute byte offset. *)
-  | Store of int * int * (unit -> 'a t)
-  | Load_str of { off : int; len : int; k : string -> 'a t }
-  | Store_str of { off : int; len : int; v : string; k : unit -> 'a t }
-  | Send of Endpoint.t * Message.t * (unit -> 'a t)
+and 'a t
+(** A program returning ['a]. *)
+
+(** The primitive operations, each with the type of its result. *)
+and 'a op =
+  | Compute : int -> unit op  (** Burn n simulated cycles. *)
+  | Load : int -> int op  (** Word load, absolute byte offset. *)
+  | Store : int * int -> unit op
+  | Load_str : { off : int; len : int } -> string op
+  | Store_str : { off : int; len : int; v : string } -> unit op
+  | Send : Endpoint.t * Message.t -> unit op
       (** Asynchronous notification; never blocks. *)
-  | Call of Endpoint.t * Message.t * (Message.t -> 'a t)
+  | Call : Endpoint.t * Message.t -> Message.t op
       (** MINIX sendrec: blocks until the receiver replies (possibly
           with [R_err E_CRASH] courtesy of the Recovery Server). *)
-  | Receive of (Endpoint.t * Message.t -> 'a t)
+  | Receive : (Endpoint.t * Message.t) op
       (** Top-of-loop blocking receive (servers only). *)
-  | Reply of Endpoint.t * Message.t * (unit -> 'a t)
+  | Reply : Endpoint.t * Message.t -> unit op
       (** Answer a pending [Call] from the given endpoint. *)
-  | Yield of (unit -> 'a t)
-      (** Cooperative thread yield (multithreaded servers). *)
-  | Spawn of unit t * (unit -> 'a t)
-      (** Start a cothread in the same component. *)
-  | Kcall of kcall * (kresult -> 'a t)
-  | Rand of int * (int -> 'a t)      (** Uniform int below the bound. *)
-  | Now of (int -> 'a t)             (** Virtual time, cycles. *)
+  | Yield : unit op  (** Cooperative thread yield (multithreaded servers). *)
+  | Spawn : unit t -> unit op  (** Start a cothread in the same component. *)
+  | Kcall : kcall -> kresult op
+  | Rand : int -> int op  (** Uniform int below the bound. *)
+  | Now : int op  (** Virtual time, cycles. *)
+
+(** {2 Interpretation} *)
+
+type ('a, 'b) kont
+(** The continuation of a suspended program: given the ['a] result of
+    the current primitive, it runs on to a ['b]. Immutable. *)
+
+type view =
+  | Op : 'a op * ('a, unit) kont -> view
+      (** The next primitive to execute, and what consumes its result. *)
+  | Finished  (** The program returned. *)
+  | Failed of string
+      (** Fail-stop crash of the executing component (the NULL-deref /
+          failed-assertion analogue). *)
+
+val start : unit t -> view
+(** The first primitive of a program. Runs no user code. *)
+
+val resume : ('a, unit) kont -> 'a -> view
+(** Feed a primitive's result to its continuation and run to the next
+    primitive. User continuations run here, in the caller's frame, so
+    their exceptions propagate to the caller. Constant stack for any
+    [bind] nesting. *)
+
+(** {2 Building programs} *)
 
 val return : 'a -> 'a t
 

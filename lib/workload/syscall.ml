@@ -34,7 +34,7 @@ let exit : type a. int -> a Prog.t =
      crashed inside its recovery window while handling the exit — the
      rollback guarantees no side effects, so retrying is safe. *)
   let rec go () : a Prog.t =
-    Prog.Call (Endpoint.pm, Message.Exit { status }, fun _ -> go ())
+    Prog.bind (Prog.call Endpoint.pm (Message.Exit { status })) (fun _ -> go ())
   in
   go ()
 

@@ -220,6 +220,8 @@ let test_machine_check_absorbed_and_recovered () =
   Alcotest.(check bool) "fault fired" true !fired;
   Alcotest.(check bool) "machine-check crash observed" true
     (!mc_reasons <> []);
+  Alcotest.(check int) "every machine-check crash counted"
+    (List.length !mc_reasons) (Kernel.machine_checks k);
   Alcotest.(check string) "enhanced recovers and the suite completes"
     "completed(0)" (Kernel.halt_to_string halt)
 
@@ -233,6 +235,24 @@ let test_machine_check_campaign_classifies () =
   let outcome = Campaign.run_one Policy.enhanced site Kernel.F_corrupt_store in
   Alcotest.(check string) "wild store under enhanced" "fail"
     (Campaign.outcome_name outcome)
+
+(* Without injected corruption no host exception may reach the kernel's
+   machine-check boundary: a nonzero count here is a simulator bug that
+   the boundary would otherwise turn into a silent simulated crash. *)
+let test_fault_free_runs_have_no_machine_checks () =
+  List.iter
+    (fun policy ->
+       List.iter
+         (fun (name, root) ->
+            let sys = System.build ~seed:42 (Sysconf.uniform policy) in
+            let halt = System.run sys ~root in
+            let what = Printf.sprintf "%s under %s" name policy.Policy.name in
+            Alcotest.(check string) (what ^ " completes") "completed(0)"
+              (Kernel.halt_to_string halt);
+            Alcotest.(check int) (what ^ ": machine checks") 0
+              (Kernel.machine_checks (System.kernel sys)))
+         [ ("suite", Testsuite.driver); ("quickstart", Workgen.quickstart) ])
+    Policy.all_evaluated
 
 (* ---------------- disruption -------------------------------------- *)
 
@@ -300,7 +320,9 @@ let () =
         [ Alcotest.test_case "absorbed and recovered" `Quick
             test_machine_check_absorbed_and_recovered;
           Alcotest.test_case "campaign classifies" `Quick
-            test_machine_check_campaign_classifies ] );
+            test_machine_check_campaign_classifies;
+          Alcotest.test_case "none in fault-free runs" `Quick
+            test_fault_free_runs_have_no_machine_checks ] );
       ( "disruption",
         [ Alcotest.test_case "reference run" `Quick test_disruption_no_faults_reference;
           Alcotest.test_case "survives injection" `Quick

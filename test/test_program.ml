@@ -1,42 +1,57 @@
-(* Tests for the program DSL: monadic structure, control helpers, and
-   the typed memory access layer. A miniature interpreter executes the
-   pure subset (Compute / Load / Store / Rand / Now / Done / Fail)
-   against a raw image so DSL semantics can be checked without a
-   kernel. *)
+(* Tests for the program DSL: monadic structure, control helpers, the
+   typed memory access layer, and the view API the kernel drives
+   programs through. A miniature interpreter runs the pure subset
+   (Compute / Load / Store / Rand / Now, return and fail) through
+   [Prog.start] / [Prog.resume] against a raw image, so DSL semantics
+   can be checked without a kernel. *)
 
 open Prog.Syntax
 
 type 'a outcome = Value of 'a | Crashed of string
 
-(* Interpret the non-communicating subset of the DSL. *)
-let interp img prog =
+(* Run a view to its end. Returns the failure message, if any, and the
+   number of memory/compute primitives executed. *)
+let drive img view =
   let steps = ref 0 in
-  let rec go : type a. a Prog.t -> a outcome = function
-    | Prog.Done x -> Value x
-    | Prog.Fail m -> Crashed m
-    | Prog.Compute (_, k) ->
+  let exec : type a. a Prog.op -> (a, unit) Prog.kont -> Prog.view =
+    fun op k ->
+    match op with
+    | Prog.Compute _ ->
       incr steps;
-      go (k ())
-    | Prog.Load (off, k) ->
+      Prog.resume k ()
+    | Prog.Load off ->
       incr steps;
-      go (k (Memimage.get_word img off))
-    | Prog.Store (off, v, k) ->
+      Prog.resume k (Memimage.get_word img off)
+    | Prog.Store (off, v) ->
       incr steps;
       Memimage.set_word img off v;
-      go (k ())
-    | Prog.Load_str { off; len; k } ->
+      Prog.resume k ()
+    | Prog.Load_str { off; len } ->
       incr steps;
-      go (k (Memimage.get_string img ~off ~len))
-    | Prog.Store_str { off; len; v; k } ->
+      Prog.resume k (Memimage.get_string img ~off ~len)
+    | Prog.Store_str { off; len; v } ->
       incr steps;
       Memimage.set_string img ~off ~len v;
-      go (k ())
-    | Prog.Rand (bound, k) -> go (k (bound / 2))
-    | Prog.Now k -> go (k 0)
+      Prog.resume k ()
+    | Prog.Rand bound -> Prog.resume k (bound / 2)
+    | Prog.Now -> Prog.resume k 0
     | _ -> failwith "interp: communicating operation in pure test"
   in
-  let r = go prog in
-  (r, !steps)
+  let rec go = function
+    | Prog.Finished -> None
+    | Prog.Failed m -> Some m
+    | Prog.Op (op, k) -> go (exec op k)
+  in
+  let failed = go view in
+  (failed, !steps)
+
+(* Interpret a program of any result type: the view API runs [unit]
+   programs, so the result is captured on the way out. *)
+let interp img prog =
+  let result = ref None in
+  match drive img (Prog.start (Prog.map (fun x -> result := Some x) prog)) with
+  | None, steps -> (Value (Option.get !result), steps)
+  | Some m, steps -> (Crashed m, steps)
 
 let mk () = Memimage.create ~name:"prog-test" ~size:4096
 
@@ -207,6 +222,150 @@ let prop_repeat_count =
        ignore (run img (Prog.repeat n incr_cell));
        Memimage.get_word img 0 = n)
 
+(* ---------------- freer representation ---------------------------- *)
+
+(* A left-nested chain ((compute >>= f) >>= f) >>= ... of depth [n],
+   built iteratively so construction itself needs no stack. *)
+let left_nested n =
+  let p = ref (Prog.compute 1) in
+  for _ = 2 to n do
+    p := Prog.bind !p (fun () -> Prog.compute 1)
+  done;
+  !p
+
+(* Run [left_nested n] as the root process of a booted system; returns
+   the minor words allocated per kernel op during the run. *)
+let kernel_words_per_op n =
+  let sys = System.build (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let root = left_nested n in
+  let ops0 = Kernel.total_ops k in
+  let w0 = Gc.minor_words () in
+  let halt = System.run sys ~root in
+  let words = Gc.minor_words () -. w0 in
+  let ops = Kernel.total_ops k - ops0 in
+  Alcotest.(check string) "chain completes" "completed(0)"
+    (Kernel.halt_to_string halt);
+  Alcotest.(check bool) "every link executed" true (ops > n);
+  words /. float_of_int ops
+
+let test_deep_left_nesting_through_kernel () =
+  let small = kernel_words_per_op 1_000 in
+  let large = kernel_words_per_op 100_000 in
+  if large > 2. *. small then
+    Alcotest.failf "words/op grow with nesting depth: %.1f at 10^3, %.1f at 10^5"
+      small large
+
+(* Fork resumes one parked continuation twice: once in the parent, once
+   in the child. The stack is immutable, so the two runs must not see
+   each other. Left nesting makes [start] push several frames. *)
+let test_resume_parked_kont_twice () =
+  let p =
+    Prog.bind
+      (Prog.bind (Prog.load 0) (fun x ->
+           let* () = Prog.store 8 (x * 10) in
+           Prog.return x))
+      (fun x ->
+         let* y = Prog.load 8 in
+         Prog.store 16 (x + y))
+  in
+  match Prog.start p with
+  | Prog.Op (Prog.Load 0, k) ->
+    let run v =
+      let img = mk () in
+      (match drive img (Prog.resume k v) with
+       | None, _ -> ()
+       | Some m, _ -> Alcotest.fail m);
+      Memimage.get_word img 16
+    in
+    Alcotest.(check int) "first resume" 11 (run 1);
+    Alcotest.(check int) "second resume" 22 (run 2);
+    Alcotest.(check int) "first resume again" 11 (run 1)
+  | _ -> Alcotest.fail "expected the program to park on its first load"
+
+(* Random programs over the pure primitives. Every node maps an input
+   value to an output, so values flow through binds; [Seq] nodes nest
+   on either side, giving mixed left/right bind trees. *)
+type tree =
+  | T_done of int
+  | T_fail
+  | T_load of int  (* word slot *)
+  | T_store of int
+  | T_compute
+  | T_seq of tree * tree
+
+let rec build tree x : int Prog.t =
+  match tree with
+  | T_done c -> Prog.return (x + c)
+  | T_fail -> Prog.fail "tree"
+  | T_load slot ->
+    let* v = Prog.load (slot * 8) in
+    Prog.return (v + x)
+  | T_store slot ->
+    let* () = Prog.store (slot * 8) x in
+    Prog.return x
+  | T_compute ->
+    let* () = Prog.compute 1 in
+    Prog.return x
+  | T_seq (a, b) -> Prog.bind (build a x) (build b)
+
+exception Reference_fail
+
+(* The direct-style meaning of a tree. *)
+let rec reference img steps tree x =
+  match tree with
+  | T_done c -> x + c
+  | T_fail -> raise Reference_fail
+  | T_load slot -> incr steps; Memimage.get_word img (slot * 8) + x
+  | T_store slot -> incr steps; Memimage.set_word img (slot * 8) x; x
+  | T_compute -> incr steps; x
+  | T_seq (a, b) -> reference img steps b (reference img steps a x)
+
+let rec tree_to_string = function
+  | T_done c -> Printf.sprintf "done %d" c
+  | T_fail -> "fail"
+  | T_load s -> Printf.sprintf "load %d" s
+  | T_store s -> Printf.sprintf "store %d" s
+  | T_compute -> "compute"
+  | T_seq (a, b) ->
+    Printf.sprintf "(%s >>= %s)" (tree_to_string a) (tree_to_string b)
+
+let arb_tree =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (3, map (fun c -> T_done c) small_nat);
+        (1, return T_fail);
+        (4, map (fun s -> T_load s) (int_bound 7));
+        (4, map (fun s -> T_store s) (int_bound 7));
+        (2, return T_compute) ]
+  in
+  let gen =
+    sized
+      (fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (1, leaf);
+                 (4, map2 (fun a b -> T_seq (a, b)) (self (n / 2))
+                      (self (n / 2))) ]))
+  in
+  QCheck.make ~print:tree_to_string gen
+
+let prop_matches_direct_style =
+  QCheck.Test.make ~name:"bind trees match a direct-style evaluator"
+    ~count:300 QCheck.(pair arb_tree small_nat)
+    (fun (tree, x) ->
+       let img = mk () and ref_img = mk () in
+       let outcome, steps = interp img (build tree x) in
+       let ref_steps = ref 0 in
+       let expected =
+         try Value (reference ref_img ref_steps tree x)
+         with Reference_fail -> Crashed "tree"
+       in
+       outcome = expected && steps = !ref_steps
+       && Memimage.snapshot img = Memimage.snapshot ref_img)
+
 let () =
   Alcotest.run "osiris_program"
     [ ( "monad",
@@ -225,4 +384,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_repeat_count ] );
       ( "mem",
         [ Alcotest.test_case "table access" `Quick test_mem_table_access;
-          Alcotest.test_case "cell access" `Quick test_mem_cell_access ] ) ]
+          Alcotest.test_case "cell access" `Quick test_mem_cell_access ] );
+      ( "freer",
+        [ Alcotest.test_case "deep left nesting through the kernel" `Quick
+            test_deep_left_nesting_through_kernel;
+          Alcotest.test_case "resume a parked kont twice" `Quick
+            test_resume_parked_kont_twice;
+          QCheck_alcotest.to_alcotest prop_matches_direct_style ] ) ]
