@@ -14,25 +14,9 @@
                           deliberately far below the ~3x we measure, to
                           keep CI stable on loaded machines) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
+open Harness
 
-let min_speedup () =
-  match Sys.getenv_opt "OSIRIS_BENCH_MIN_SPEEDUP" with
-  | Some s -> (try float_of_string s with _ -> 1.2)
-  | None -> 1.2
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_checkpoint.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let min_speedup () = env_float "OSIRIS_BENCH_MIN_SPEEDUP" ~default:1.2
 
 (* ns per operation of [batch] (which performs [ops] operations),
    repeated until the wall budget is spent. *)
@@ -355,7 +339,7 @@ let run () =
           (fun (n, ok) -> Printf.sprintf "\"%s\": %b" n ok)
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_BENCH_JSON" ~default:"BENCH_checkpoint.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -33,25 +33,7 @@
                              domain-pool worker counts (jobs:1 vs
                              jobs:4, submission-order merge) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_CRITPATH_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_CRITPATH_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_critpath.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 let workload_seed = 42
 
@@ -68,28 +50,6 @@ let run_counted ~requests () =
   | Kernel.H_completed _ -> ()
   | halt ->
     failwith ("critpath bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Interleaved best-of (see obs_bench.ml): both variants run back to
-   back each round so host load drift cannot masquerade as overhead. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
 
 (* ---- attribution probes ------------------------------------------ *)
 
@@ -235,7 +195,7 @@ let run () =
     (if String.equal b1 b1' then "identical" else "DIFFERS")
     (if String.equal b1 b4 then "identical" else "DIFFERS");
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_CRITPATH_MAX_OVERHEAD_PCT" ~default:3. in
   let overhead_ok = overhead_pct < threshold in
   let gates =
     [ ("charging_overhead", overhead_ok);
@@ -268,7 +228,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_CRITPATH_BENCH_JSON" ~default:"BENCH_critpath.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -25,25 +25,7 @@
      bytes_per_event     on-disk framing stays compact (< 24 bytes per
                          event averaged over a crashy mixed workload) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_JOURNAL_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 5.)
-  | None -> 5.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_JOURNAL_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_journal.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 let workload_seed = 42
 
@@ -102,11 +84,6 @@ let best_ns_interleaved variants =
   done;
   (best, !rounds)
 
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
 (* ------------------------------------------------------------------ *)
 
 (* One synthetic event per constructor — every encoder path is in the
@@ -160,20 +137,25 @@ let encode_alloc_probe () =
   let n = reps * List.length sample_events in
   (n, words, !best /. float_of_int n)
 
+(* The kernel has one capture, so the hooked stream to compare against
+   comes from a second run of the same deterministic workload. *)
 let round_trip_probe () =
   let h = header ~workload:"workgen" ~crash:"ds" in
-  let w = Journal.to_memory h in
-  let seen = ref [] in
-  let sys =
-    System.build ~seed:workload_seed ~journal:w
-      ~event_hook:(fun ev -> seen := ev :: !seen)
-      (Sysconf.uniform Policy.enhanced)
+  let crashy_run ?journal ?event_hook () =
+    let sys =
+      System.build ~seed:workload_seed ?journal ?event_hook
+        (Sysconf.uniform Policy.enhanced)
+    in
+    Flight.arm_crash (System.kernel sys) (Flight.server_of_name "ds");
+    match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
+    | Kernel.H_completed _ -> ()
+    | halt -> failwith ("round trip halted: " ^ Kernel.halt_to_string halt)
   in
-  Flight.arm_crash (System.kernel sys) (Flight.server_of_name "ds");
-  (match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
-   | Kernel.H_completed _ -> ()
-   | halt -> failwith ("round trip halted: " ^ Kernel.halt_to_string halt));
+  let w = Journal.to_memory h in
+  crashy_run ~journal:w ();
   Journal.close w;
+  let seen = ref [] in
+  crashy_run ~event_hook:(fun ev -> seen := ev :: !seen) ();
   let recorded = Array.of_list (List.rev !seen) in
   let bytes = Journal.bytes_written w in
   let records = Journal.records_written w in
@@ -275,7 +257,7 @@ let run () =
     (sbase_ns /. 1e6) (sjournal_ns /. 1e6) stress_pct stress_ns_per_event
     (!fin_suite /. 1e6);
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_JOURNAL_MAX_OVERHEAD_PCT" ~default:5. in
   let overhead_pct = raw_pct in
   (* 64-word slack: Gc.minor_words itself may box a float; the 130k
      event writes themselves must add nothing. *)
@@ -322,7 +304,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let p = json_path () in
+  let p = json_path "OSIRIS_JOURNAL_BENCH_JSON" ~default:"BENCH_journal.json" in
   let oc = open_out p in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -29,25 +29,7 @@
      matrix_overhead          explicit-compartment wall time stays
                               within the gate of the uniform path *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_MATRIX_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 2.)
-  | None -> 2.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_MATRIX_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_matrix.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 let workload_seed = 42
 
@@ -146,7 +128,7 @@ let run () =
     \  explicit compartments   %.2f ms (%+.2f%%)\n"
     rounds (uniform_ns /. 1e6) (explicit_ns /. 1e6) overhead_pct;
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_MATRIX_MAX_OVERHEAD_PCT" ~default:2. in
   let overhead_ok = overhead_pct < threshold in
   let gates =
     [ ("matrix_same_trajectory", same_trajectory);
@@ -177,7 +159,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_MATRIX_BENCH_JSON" ~default:"BENCH_matrix.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -1,5 +1,7 @@
-(* Observability overhead benchmark: what the event hook, tracer, and
-   metrics registry cost on an IPC-heavy workload.
+(* Observability overhead benchmark: what a closure observer on the
+   kernel's capture ([System.build ?event_hook], installed as
+   [Capture.of_hook]), the tracer, and the metrics registry cost on an
+   IPC-heavy workload.
 
    Run with [dune exec bench/main.exe obs]. Emits a JSON report (path
    from OSIRIS_OBS_BENCH_JSON, default BENCH_obs.json — a separate
@@ -20,30 +22,13 @@
      lazy_event_construction an unhooked run allocates no event
                              records — the hooked/unhooked minor-word
                              difference accounts for every event, so
-                             emission really is guarded, not built-
-                             then-dropped
+                             with no capture installed emission really
+                             is guarded, and records are only built by
+                             the hook's decoder
      tracer_overhead         attached-tracer wall-time overhead on the
                              full workload stays under the gate *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_OBS_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 5.)
-  | None -> 5.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_OBS_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_obs.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 (* ------------------------------------------------------------------ *)
 (* The measured workload: a generated mixed workload (files, ds,
@@ -61,40 +46,6 @@ let run_once ?event_hook () =
   match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
   | Kernel.H_completed _ -> ()
   | halt -> failwith ("obs bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Best-of timing, interleaved: fresh-system runs are noisy (GC, page
-   cache, and `dune runtest` runs this concurrently with other test
-   binaries), so timing each variant in its own phase would let load
-   drift between phases masquerade as overhead. Instead every round
-   times all variants back to back — same load for all of them — and
-   each variant keeps its best round.                                  *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-(* Exact minor-heap words allocated by [f] (allocation in OCaml is
-   deterministic for a deterministic simulation, so a single sample is
-   exact, not an estimate).                                            *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 (* ------------------------------------------------------------------ *)
 
@@ -169,7 +120,7 @@ let run () =
     rounds (base_ns /. 1e6) (tracer_ns /. 1e6) tracer_pct (full_ns /. 1e6)
     full_pct;
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_OBS_MAX_OVERHEAD_PCT" ~default:5. in
   (* 64-word slack: Gc.minor_words itself and the loop closure may box
      a float or two; the 400k updates themselves must add nothing. *)
   let metrics_ok = metric_words < 64. in
@@ -207,7 +158,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_OBS_BENCH_JSON" ~default:"BENCH_obs.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -36,6 +36,8 @@
      parfan_speedup     campaign speedup >= min(MIN_SPEEDUP,
                         EFFICIENCY x calibrated ideal scaling) *)
 
+open Harness
+
 let sample_size () =
   match Sys.getenv_opt "OSIRIS_SAMPLE" with
   | Some s -> (try int_of_string s with _ -> 0)
@@ -46,22 +48,12 @@ let pool_jobs () =
   | Some s -> (try max 2 (int_of_string s) with _ -> 4)
   | None -> 4
 
-let min_speedup () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_MIN_SPEEDUP" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
+let min_speedup () = env_float "OSIRIS_PARFAN_MIN_SPEEDUP" ~default:3.
 
 let efficiency () =
   match Sys.getenv_opt "OSIRIS_PARFAN_EFFICIENCY" with
   | Some s -> (try float_of_string s with _ -> 0.7)
   | None -> 0.7
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_parfan.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let time f =
   let t0 = now_ns () in
@@ -229,7 +221,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_PARFAN_BENCH_JSON" ~default:"BENCH_parfan.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -31,25 +31,7 @@
      conservation            the attributed per-process totals equal
                              the kernel's own process clocks exactly *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_PROFILER_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_PROFILER_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_profiler.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 (* Same workload as the obs bench: a generated mix of file, ds, pipe,
    fork and exec traffic, so every server burns cycles in several
@@ -87,37 +69,6 @@ let run_trivial_hook ~events ~cycles () =
   | Kernel.H_completed _ -> ()
   | halt ->
     failwith ("profiler bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Best-of timing, interleaved (see obs_bench.ml): every round times
-   all variants back to back so machine-load drift cannot masquerade
-   as overhead; each variant keeps its best round. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-(* Exact minor-heap words allocated by [f]: the simulation is
-   deterministic, so its allocation is too, and a single sample is
-   exact rather than an estimate. *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 let json_bool b = if b then "true" else "false"
 
@@ -188,7 +139,7 @@ let run () =
     rounds (base_ns /. 1e6) (trivial_ns /. 1e6) trivial_pct (prof_ns /. 1e6)
     overhead_pct;
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_PROFILER_MAX_OVERHEAD_PCT" ~default:3. in
   (* 64-word slack: Gc.minor_words itself and the measuring closures
      may box a float or two; the events themselves must add nothing. *)
   let hook_ok = events > 10_000 && hook_delta < 64. in
@@ -233,7 +184,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_PROFILER_BENCH_JSON" ~default:"BENCH_profiler.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

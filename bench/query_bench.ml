@@ -24,25 +24,7 @@
      index_overhead     sidecar indexing adds < 5% to [osiris record]
                         wall time (Flight.record ~index:true vs false) *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_QUERY_MAX_INDEX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 5.)
-  | None -> 5.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_QUERY_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_query.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 let workload_seed = 42
 
@@ -172,7 +154,7 @@ let run () =
     done;
     100. *. median !diffs /. median !plains
   in
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_QUERY_MAX_INDEX_OVERHEAD_PCT" ~default:5. in
   let overhead_pct =
     let first = measure (2. *. budget_ns ()) in
     (* A near-miss earns one confirmation pass over a larger sample
@@ -293,7 +275,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let p = json_path () in
+  let p = json_path "OSIRIS_QUERY_BENCH_JSON" ~default:"BENCH_query.json" in
   let oc = open_out p in
   output_string oc (Buffer.contents buf);
   close_out oc;

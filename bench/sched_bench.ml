@@ -43,13 +43,7 @@
                           between wheel and oracle: halt, every ss_*
                           server counter row, log lines, journal bytes *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
+open Harness
 
 let baseline_ns () =
   match Sys.getenv_opt "OSIRIS_SCHED_BASELINE_NS" with
@@ -61,18 +55,7 @@ let efficiency () =
   | Some s -> (try float_of_string s with _ -> 0.9)
   | None -> 0.9
 
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_SCHED_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_sched.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
 let json_bool b = if b then "true" else "false"
-
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 (* ---- the kernel-shaped trace -------------------------------------- *)
 
@@ -295,7 +278,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_SCHED_BENCH_JSON" ~default:"BENCH_sched.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

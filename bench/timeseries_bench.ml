@@ -45,25 +45,7 @@
                              omitted) is byte-identical at jobs:1 and
                              jobs:4 *)
 
-let budget_ns () =
-  let ms =
-    match Sys.getenv_opt "OSIRIS_BENCH_MS" with
-    | Some s -> (try float_of_string s with _ -> 200.)
-    | None -> 200.
-  in
-  ms *. 1e6
-
-let max_overhead_pct () =
-  match Sys.getenv_opt "OSIRIS_TIMESERIES_MAX_OVERHEAD_PCT" with
-  | Some s -> (try float_of_string s with _ -> 3.)
-  | None -> 3.
-
-let json_path () =
-  match Sys.getenv_opt "OSIRIS_TIMESERIES_BENCH_JSON" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_timeseries.json"
-
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+open Harness
 
 let workload_seed = 42
 let sample_interval = 4096
@@ -108,36 +90,6 @@ let run_telemetered () =
   | Kernel.H_completed _ -> ts
   | halt ->
     failwith ("timeseries bench workload halted: " ^ Kernel.halt_to_string halt)
-
-(* Best-of timing, interleaved (see obs_bench.ml): every round times
-   both variants back to back so load drift cannot masquerade as
-   overhead; each variant keeps its best round. *)
-let best_ns_interleaved variants =
-  List.iter (fun (_, f) -> f ()) variants;
-  (* warm *)
-  let k = List.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    List.iteri
-      (fun i (_, f) ->
-         let s = now_ns () in
-         f ();
-         let d = now_ns () -. s in
-         if d < best.(i) then best.(i) <- d)
-      variants;
-    incr rounds
-  done;
-  (best, !rounds)
-
-(* Exact minor-heap words allocated by [f] (deterministic simulation,
-   so a single sample is exact). *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 (* ------------------------------------------------------------------ *)
 
@@ -282,7 +234,7 @@ let run () =
     (String.length a1) (String.length a4)
     (if identical then "byte-identical" else "DIFFER");
   (* ---- gates ---- *)
-  let threshold = max_overhead_pct () in
+  let threshold = env_float "OSIRIS_TIMESERIES_MAX_OVERHEAD_PCT" ~default:3. in
   (* 64-word slack: Gc.minor_words itself and the probe closure may
      box a float or two; the 100k ticks themselves must add nothing. *)
   let alloc_ok = words < 64. in
@@ -321,7 +273,7 @@ let run () =
        (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
           gates));
   f buf "}\n";
-  let path = json_path () in
+  let path = json_path "OSIRIS_TIMESERIES_BENCH_JSON" ~default:"BENCH_timeseries.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;

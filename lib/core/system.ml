@@ -78,21 +78,16 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
         (match max_crashes with Some m -> m | None -> base.Kernel.max_crashes) }
   in
   let kernel = Kernel.create cfg in
-  (* Installed before boot so observers see boot traffic too; a hook
-     attached after build (e.g. Tracer.attach) only sees the run. The
-     journal rides the kernel's raw capture log, not the event hook:
-     the emission sites append each event's scalar fields as a few
-     int stores and all encoding happens in batched sweeps off the
-     hot path (the <5% recording-overhead gate). The capture append
-     happens before the hook fires with identical values, so a
-     recording is byte-identical whether or not another observer
-     rides along. *)
-  (match journal with
-   | Some w -> Kernel.set_capture kernel (Some (Journal.capture w))
-   | None -> ());
-  (match event_hook with
-   | Some f -> Kernel.set_event_hook kernel (Some f)
-   | None -> ());
+  (* Installed before boot so observers see boot traffic too; a
+     capture attached after build (e.g. Tracer.attach) only sees the
+     run. *)
+  Kernel.set_capture kernel
+    (match journal, event_hook with
+     | Some w, None -> Some (Journal.capture w)
+     | None, Some f -> Some (Capture.of_hook f)
+     | None, None -> None
+     | Some _, Some _ ->
+       invalid_arg "System.build: ?journal and ?event_hook are exclusive");
   (* Likewise pre-boot: the profiler must see every cycle from the
      first boot instruction, or conservation against the process
      clocks cannot hold. *)

@@ -40,14 +40,16 @@ val build :
     with /bin (every registered executable), /etc/data and /tmp, boot
     snapshots taken. The prototype test suite and the Unixbench
     programs are always registered; add more via [extra_register].
-    [event_hook] is installed {e before} boot, so observers (e.g. an
-    [Obs_collector]) capture boot traffic; attaching after [build]
-    misses it. [journal] installs a flight-recorder writer the same
-    way, as the kernel's raw capture log ([Journal.capture] via
-    [Kernel.set_capture] — independent of [event_hook], appending
-    first when both are given), so a
-    journal is a complete record from the first boot event — which is
-    what makes [Replay.run] a byte-exact diff. [costs] overrides the
+    [event_hook] is installed {e before} boot as the kernel's capture
+    ({!Capture.of_hook}), so observers (e.g. an [Obs_collector])
+    capture boot traffic; attaching after [build] misses it. Events
+    reach the hook in order, batched, and all of them by the time
+    [boot] or [run] returns. [journal] installs a flight-recorder
+    writer the same way, as the kernel's capture ([Journal.capture]),
+    so a journal is a complete record from the first boot event —
+    which is what makes [Replay.run] a byte-exact diff. The kernel has
+    one capture, so [event_hook] and [journal] are exclusive
+    ([Invalid_argument] when both are given). [costs] overrides the
     architecture-derived cost table (the replay cost-perturbation
     fixture uses this; the header fingerprint then flags the
     mismatch). [profiler] is likewise attached pre-boot as the

@@ -89,11 +89,11 @@ let run_one ?seed policy site action =
 (* ---- per-run telemetry summaries ----
 
    A campaign-grade run must not pay observability overhead: attaching
-   an event hook flips the kernel's [observing] flag and every event
-   record gets constructed. The summary therefore reads only kernel
-   introspection counters after the run — crash instants, recovery
-   episodes, lifetime counters — which cost nothing while the
-   simulation executes. *)
+   an observer installs a kernel capture, so every event is logged
+   (and, for a closure hook, decoded into a record). The summary
+   therefore reads only kernel introspection counters after the run —
+   crash instants, recovery episodes, lifetime counters — which cost
+   nothing while the simulation executes. *)
 
 type run_summary = {
   sm_outcome : outcome;

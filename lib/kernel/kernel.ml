@@ -234,11 +234,7 @@ type server = {
   srv_multithreaded : bool;
 }
 
-type halt =
-  | H_completed of int
-  | H_shutdown of string
-  | H_panic of string
-  | H_hang
+include Kernel_event
 
 let halt_to_string = function
   | H_completed status -> Printf.sprintf "completed(%d)" status
@@ -376,41 +372,6 @@ let tag_run = 0
 let tag_alarm = 1
 let tag_hangcheck = 2
 
-type event =
-  | E_msg of { time : int; src : Endpoint.t; dst : Endpoint.t;
-               tag : Message.Tag.t; call : bool;
-               rid : int; parent : int; cls : Seep.cls }
-  | E_reply of { time : int; src : Endpoint.t; dst : Endpoint.t;
-                 tag : Message.Tag.t; rid : int }
-  | E_window_open of { time : int; ep : Endpoint.t; rid : int }
-  | E_window_close of { time : int; ep : Endpoint.t; rid : int; policy : bool }
-  | E_checkpoint of { time : int; ep : Endpoint.t; rid : int; cycles : int }
-  | E_store_logged of { time : int; ep : Endpoint.t; rid : int; bytes : int }
-  | E_kcall of { time : int; ep : Endpoint.t; rid : int; kc : string }
-  | E_crash of { time : int; ep : Endpoint.t; reason : string;
-                 window_open : bool; rid : int; policy : string }
-  | E_hang_detected of { time : int; ep : Endpoint.t }
-  | E_rollback_begin of { time : int; ep : Endpoint.t; rid : int }
-  | E_rollback_end of { time : int; ep : Endpoint.t; rid : int; bytes : int }
-  | E_restart of { time : int; ep : Endpoint.t; rid : int; policy : string }
-  | E_halt of { time : int; halt : halt }
-  | E_spawn of { time : int; ep : Endpoint.t; parent : int }
-
-(* Raw event capture: the flight recorder's zero-dispatch tap. The
-   emission sites append each event's scalar fields straight into the
-   owner's buffers — a handful of unboxed int stores, no closure call,
-   no event construction — and invoke [cap_drain] only when an append
-   would overflow. Entry layout is documented in the .mli; it is the
-   contract between these append sites and the journal's batched
-   encoder. *)
-type capture = {
-  mutable cap_buf : int array;
-  mutable cap_pos : int;
-  mutable cap_strs : string array;
-  mutable cap_spos : int;
-  mutable cap_drain : unit -> unit;
-}
-
 type t = {
   cfg : config;
   rng : Osiris_util.Rng.t;
@@ -427,12 +388,7 @@ type t = {
   (* Cached [fault_hook <> None || site_recorder <> None]: [op_site]
      runs per op and must not pay two polymorphic compares there. *)
   mutable siting : bool;
-  mutable event_hook : (event -> unit) option;
-  mutable capture : capture option;
-  (* event_hook <> None || capture <> None, cached: the emission
-     sites test observability once per event, and a single flag load
-     beats two polymorphic option compares on the hot path. *)
-  mutable observing : bool;
+  mutable capture : Capture.t option;  (* the one observer tap *)
   mutable cycle_hook : (Endpoint.t -> slot -> int -> unit) option;
   mutable profiling : bool;  (* procs carry per-slot counter rows *)
   (* Kernel-global cycles per phase, maintained on the attribution
@@ -492,9 +448,7 @@ let create cfg =
     fault_hook = None;
     site_recorder = None;
     siting = false;
-    event_hook = None;
     capture = None;
-    observing = false;
     cycle_hook = None;
     profiling = false;
     phase_prof = Array.make n_phases 0;
@@ -533,13 +487,7 @@ let set_fault_hook t hook =
   t.fault_hook <- hook;
   refresh_siting t
 
-let set_event_hook t hook =
-  t.event_hook <- hook;
-  t.observing <- hook <> None || t.capture <> None
-
-let set_capture t c =
-  t.capture <- c;
-  t.observing <- t.event_hook <> None || c <> None
+let set_capture t c = t.capture <- c
 
 let set_vtime_sampler t ~interval hook =
   match hook with
@@ -577,233 +525,80 @@ let[@inline] bump_now t v =
         done
   end
 
-(* Every emission site must check this first: with no observer
-   installed nothing is constructed and the hot path pays a single
-   branch. Per-constructor helpers below then append the scalar
-   fields to the capture log directly and build the event record only
-   when a closure hook is also installed — the capture path allocates
-   nothing. *)
-let[@inline] observed t = t.observing
-
-(* Reserve room for a whole entry before writing any slot, so the log
-   always sits at an entry boundary when [cap_drain] sweeps it. The
-   drain contract leaves >= 16 buffer slots and >= 2 string slots
-   free — at least one entry of any kind. *)
-let[@inline] cap_room c ni =
-  if c.cap_pos + ni > Array.length c.cap_buf then c.cap_drain ()
-
-let[@inline] cap_room_s c ni ns =
-  if c.cap_pos + ni > Array.length c.cap_buf
-     || c.cap_spos + ns > Array.length c.cap_strs
-  then c.cap_drain ()
-
-let[@inline] cap_str c s =
-  Array.unsafe_set c.cap_strs c.cap_spos s;
-  c.cap_spos <- c.cap_spos + 1
-
-let[@inline] cls_code = function
-  | Seep.Read_only -> 0
-  | Seep.State_modifying -> 1
-  | Seep.Reply -> 2
-
-let[@inline] halt_kind = function
-  | H_completed _ -> 0
-  | H_shutdown _ -> 1
-  | H_panic _ -> 2
-  | H_hang -> 3
+(* Every emission site must check this first: with no capture
+   installed nothing is appended and the hot path pays one load and
+   one compare. Each [emit_*] is then a single out-of-line append. *)
+let[@inline] observed t =
+  match t.capture with Some _ -> true | None -> false
 
 let[@inline never] emit_msg t ~time ~src ~dst ~tag ~call ~rid ~parent ~cls =
-  (match t.capture with
-   | Some c ->
-     cap_room c 9;
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 0;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) src;
-     Array.unsafe_set a (p + 3) dst;
-     Array.unsafe_set a (p + 4) (Message.Tag.to_index tag);
-     Array.unsafe_set a (p + 5) (if call then 1 else 0);
-     Array.unsafe_set a (p + 6) rid;
-     Array.unsafe_set a (p + 7) parent;
-     Array.unsafe_set a (p + 8) (cls_code cls);
-     c.cap_pos <- p + 9
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_msg { time; src; dst; tag; call; rid; parent; cls })
+  match t.capture with
+  | Some c -> Capture.msg c ~time ~src ~dst ~tag ~call ~rid ~parent ~cls
   | None -> ()
 
 let[@inline never] emit_reply t ~time ~src ~dst ~tag ~rid =
-  (match t.capture with
-   | Some c ->
-     cap_room c 6;
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 1;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) src;
-     Array.unsafe_set a (p + 3) dst;
-     Array.unsafe_set a (p + 4) (Message.Tag.to_index tag);
-     Array.unsafe_set a (p + 5) rid;
-     c.cap_pos <- p + 6
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_reply { time; src; dst; tag; rid })
+  match t.capture with
+  | Some c -> Capture.reply c ~time ~src ~dst ~tag ~rid
   | None -> ()
 
-(* The 3/4/5-slot entry shapes below share these appenders; [kind] is
-   the entry's wire code (see the .mli layout table). *)
-let[@inline] cap3 c kind ~time ~ep =
-  cap_room c 3;
-  let a = c.cap_buf and p = c.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  c.cap_pos <- p + 3
-
-let[@inline] cap4 c kind ~time ~ep ~rid =
-  cap_room c 4;
-  let a = c.cap_buf and p = c.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  c.cap_pos <- p + 4
-
-let[@inline] cap5 c kind ~time ~ep ~rid ~x =
-  cap_room c 5;
-  let a = c.cap_buf and p = c.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  Array.unsafe_set a (p + 4) x;
-  c.cap_pos <- p + 5
-
-let[@inline] cap_str4 c kind ~time ~ep ~rid ~s =
-  cap_room_s c 4 1;
-  let a = c.cap_buf and p = c.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  c.cap_pos <- p + 4;
-  cap_str c s
-
 let[@inline never] emit_window_open t ~time ~ep ~rid =
-  (match t.capture with
-   | Some c -> cap4 c 2 ~time ~ep ~rid
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_window_open { time; ep; rid })
+  match t.capture with
+  | Some c -> Capture.window_open c ~time ~ep ~rid
   | None -> ()
 
 let[@inline never] emit_window_close t ~time ~ep ~rid ~policy =
-  (match t.capture with
-   | Some c -> cap5 c 3 ~time ~ep ~rid ~x:(if policy then 1 else 0)
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_window_close { time; ep; rid; policy })
+  match t.capture with
+  | Some c -> Capture.window_close c ~time ~ep ~rid ~policy
   | None -> ()
 
 let[@inline never] emit_checkpoint t ~time ~ep ~rid ~cycles =
-  (match t.capture with
-   | Some c -> cap5 c 4 ~time ~ep ~rid ~x:cycles
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_checkpoint { time; ep; rid; cycles })
+  match t.capture with
+  | Some c -> Capture.checkpoint c ~time ~ep ~rid ~cycles
   | None -> ()
 
 let[@inline never] emit_store_logged t ~time ~ep ~rid ~bytes =
-  (match t.capture with
-   | Some c -> cap5 c 5 ~time ~ep ~rid ~x:bytes
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_store_logged { time; ep; rid; bytes })
+  match t.capture with
+  | Some c -> Capture.store_logged c ~time ~ep ~rid ~bytes
   | None -> ()
 
 let[@inline never] emit_kcall t ~time ~ep ~rid ~kc =
-  (match t.capture with
-   | Some c -> cap_str4 c 6 ~time ~ep ~rid ~s:kc
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_kcall { time; ep; rid; kc })
+  match t.capture with
+  | Some c -> Capture.kcall c ~time ~ep ~rid ~kc
   | None -> ()
 
 let[@inline never] emit_crash t ~time ~ep ~reason ~window_open ~rid ~policy =
-  (match t.capture with
-   | Some c ->
-     cap_room_s c 5 2;
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 7;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) ep;
-     Array.unsafe_set a (p + 3) (if window_open then 1 else 0);
-     Array.unsafe_set a (p + 4) rid;
-     c.cap_pos <- p + 5;
-     cap_str c reason;
-     cap_str c policy
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_crash { time; ep; reason; window_open; rid; policy })
+  match t.capture with
+  | Some c -> Capture.crash c ~time ~ep ~reason ~window_open ~rid ~policy
   | None -> ()
 
 let[@inline never] emit_hang_detected t ~time ~ep =
-  (match t.capture with
-   | Some c -> cap3 c 8 ~time ~ep
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_hang_detected { time; ep })
+  match t.capture with
+  | Some c -> Capture.hang_detected c ~time ~ep
   | None -> ()
 
 let[@inline never] emit_rollback_begin t ~time ~ep ~rid =
-  (match t.capture with
-   | Some c -> cap4 c 9 ~time ~ep ~rid
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_rollback_begin { time; ep; rid })
+  match t.capture with
+  | Some c -> Capture.rollback_begin c ~time ~ep ~rid
   | None -> ()
 
 let[@inline never] emit_rollback_end t ~time ~ep ~rid ~bytes =
-  (match t.capture with
-   | Some c -> cap5 c 10 ~time ~ep ~rid ~x:bytes
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_rollback_end { time; ep; rid; bytes })
+  match t.capture with
+  | Some c -> Capture.rollback_end c ~time ~ep ~rid ~bytes
   | None -> ()
 
 let[@inline never] emit_restart t ~time ~ep ~rid ~policy =
-  (match t.capture with
-   | Some c -> cap_str4 c 11 ~time ~ep ~rid ~s:policy
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_restart { time; ep; rid; policy })
+  match t.capture with
+  | Some c -> Capture.restart c ~time ~ep ~rid ~policy
   | None -> ()
 
 let[@inline never] emit_halt t ~time ~halt =
-  (match t.capture with
-   | Some c ->
-     (match halt with
-      | H_shutdown s | H_panic s ->
-        cap_room_s c 4 1;
-        cap_str c s
-      | H_completed _ | H_hang -> cap_room c 4);
-     let a = c.cap_buf and p = c.cap_pos in
-     Array.unsafe_set a p 12;
-     Array.unsafe_set a (p + 1) time;
-     Array.unsafe_set a (p + 2) (halt_kind halt);
-     Array.unsafe_set a (p + 3)
-       (match halt with H_completed status -> status | _ -> 0);
-     c.cap_pos <- p + 4
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_halt { time; halt })
+  match t.capture with
+  | Some c -> Capture.halt c ~time ~halt
   | None -> ()
 
 let[@inline never] emit_spawn t ~time ~ep ~parent =
-  (match t.capture with
-   | Some c -> cap4 c 13 ~time ~ep ~rid:parent
-   | None -> ());
-  match t.event_hook with
-  | Some f -> f (E_spawn { time; ep; parent })
+  match t.capture with
+  | Some c -> Capture.spawn c ~time ~ep ~parent
   | None -> ()
 
 let set_cycle_hook t hook = t.cycle_hook <- hook
@@ -2206,7 +2001,10 @@ let pump t ~until_quiescent =
         else dispatch t item
       end
     end
-  done
+  done;
+  (* Hand the consumer everything emitted so far, so its view is
+     complete whenever [boot] or [run] returns. *)
+  match t.capture with Some c -> Capture.drain c | None -> ()
 
 let boot t =
   pump t ~until_quiescent:true;

@@ -87,15 +87,8 @@ type server = {
 
 (** {1 Halting} *)
 
-type halt =
-  | H_completed of int
-      (** The designated root process exited with this status. *)
-  | H_shutdown of string
-      (** Controlled shutdown performed by the recovery protocol. *)
-  | H_panic of string
-      (** Kernel invariant broken or unrecoverable crash. *)
-  | H_hang
-      (** No runnable work before completion, or op budget exhausted. *)
+include module type of struct include Kernel_event end
+(** The [halt] and [event] types, documented in {!Kernel_event}. *)
 
 val halt_to_string : halt -> string
 
@@ -174,128 +167,30 @@ val user_exit : t -> Endpoint.t -> (int * int) option
 val run : t -> halt
 (** Interpret until a halt condition. *)
 
-(** {1 Event tracing}
+(** {1 Event tracing} *)
 
-    Every delivered message carries a {e causal request id} ([rid],
-    positive, unique per run) and the rid of the request its sender was
-    handling at the time ([parent], 0 at a root — user programs and
-    kernel-originated notifications). Threading the rid through sendrec
-    chains links a user syscall to its server fan-out, and a crash to
-    the request whose handling triggered it: observers can rebuild the
-    whole request/recovery span tree from the flat event stream (see
-    [lib/obs]). Rid allocation is an unconditional int increment, so
-    attaching a hook mid-run never changes the numbering. *)
-
-type event =
-  | E_msg of { time : int; src : Endpoint.t; dst : Endpoint.t;
-               tag : Message.Tag.t; call : bool;
-               rid : int; parent : int; cls : Seep.cls }
-      (** A request or notification was delivered to [dst]'s inbox,
-          SEEP-classified from the receiver's point of view. *)
-  | E_reply of { time : int; src : Endpoint.t; dst : Endpoint.t;
-                 tag : Message.Tag.t; rid : int }
-      (** The call [rid] completed — including virtualized
-          [E_CRASH] error replies injected by [K_reply_error]. *)
-  | E_window_open of { time : int; ep : Endpoint.t; rid : int }
-      (** A recovery window opened for handling request [rid]. *)
-  | E_window_close of { time : int; ep : Endpoint.t; rid : int; policy : bool }
-      (** The window closed; [policy] when a policy-forbidden SEEP (or
-          graduated hardening) forced it, false at handler completion
-          or thread switch. *)
-  | E_checkpoint of { time : int; ep : Endpoint.t; rid : int; cycles : int }
-      (** Checkpoint taken at window open ([cycles] charged — large
-          for [Snapshot] instrumentation, constant for undo logging). *)
-  | E_store_logged of { time : int; ep : Endpoint.t; rid : int; bytes : int }
-      (** An in-window store was offered to the undo log. *)
-  | E_kcall of { time : int; ep : Endpoint.t; rid : int; kc : string }
-      (** A kernel call (recovery protocol steps are the interesting
-          ones: mk_clone, rollback, go, ...). *)
-  | E_crash of { time : int; ep : Endpoint.t; reason : string;
-                 window_open : bool; rid : int; policy : string }
-      (** [rid] is the request being handled when the crash hit (0 in
-          loop/init code) — recovery spans nest under it. [policy]
-          names the crashed compartment's policy, so traces from
-          heterogeneous (mixed-policy) runs stay attributable. *)
-  | E_hang_detected of { time : int; ep : Endpoint.t }
-      (** The heartbeat detected a hung component (precedes the
-          corresponding [E_crash]). *)
-  | E_rollback_begin of { time : int; ep : Endpoint.t; rid : int }
-  | E_rollback_end of { time : int; ep : Endpoint.t; rid : int; bytes : int }
-      (** [bytes] actually blitted back: undo-log payload replayed, or
-          the image size under [Snapshot] instrumentation. *)
-  | E_restart of { time : int; ep : Endpoint.t; rid : int; policy : string }
-  | E_halt of { time : int; halt : halt }
-  | E_spawn of { time : int; ep : Endpoint.t; parent : int }
-      (** A user process was born at virtual instant [time] (its
-          arrival, possibly ahead of emission order for open-loop
-          loads scheduled in the future). [parent] is the spawning
-          endpoint — 0 for harness-injected load requests — so the
-          analysis layer can anchor arrival -> exit latency from the
-          event stream alone. *)
-
-val set_event_hook : t -> (event -> unit) option -> unit
-(** Structured observability: invoked for every IPC delivery, reply,
+val set_capture : t -> Capture.t option -> unit
+(** Install the kernel's one observer tap: every IPC delivery, reply,
     window transition, checkpoint, logged store, kcall, crash,
-    rollback, restart and halt. When unset the emission sites skip
-    event construction entirely — one branch per event, zero
-    allocation (a bench gate in [bench/obs_bench.ml]). *)
+    rollback, restart, halt and spawn is appended to the capture's log
+    as a few int stores (see {!Capture} for the entry layout). With no
+    capture installed the emission sites append nothing — one branch
+    per event, zero allocation (a bench gate in [bench/obs_bench.ml]).
 
-(** Raw event capture: the flight recorder's zero-dispatch tap, the
-    scalar-field twin of {!set_event_hook}.
+    Two rules bind the capture's drain:
+    - the kernel drains once at the end of every scheduler pump, so
+      when {!boot} or {!run} returns the consumer holds every event
+      emitted so far; in between it drains only when an append would
+      overflow.
+    - an exception escaping the drain leaves the kernel as
+      {!Capture.Observer_failure}, which the machine-check trap does
+      not absorb: a failing observer aborts the run rather than
+      becoming a simulated crash.
 
-    A [capture] is a consumer-owned scalar log. The emission sites
-    append each event as a few plain [int] stores into [cap_buf]
-    (string fields ride as shared pointers in [cap_strs] — the
-    kernel's strings are immutable, so no copy) and return: no closure
-    call, no event construction, no encoding. Only when an append
-    would overflow does the kernel invoke [cap_drain], which must make
-    room again — grow the arrays, or consume the log and reset
-    [cap_pos]/[cap_spos] — leaving at least 16 free [cap_buf] slots
-    and 2 free [cap_strs] slots (one entry of any kind). The journal
-    writer's drain batch-encodes the log into its wire format
-    ([Journal.capture]); deferring every codec byte off the emission
-    path is what holds the <5% attached-recording overhead gate in
-    [bench/journal_bench.ml].
-
-    Entry layout — the contract between the kernel's append sites and
-    any drain. The first slot is the event's wire code (constructor
-    declaration order); booleans are 0/1, [tag] is
-    [Message.Tag.to_index], [cls] is 0 = read-only, 1 =
-    state-modifying, 2 = reply; trailing strings ride in [cap_strs]
-    in append order:
-
-    {v
-     0  E_msg            time src dst tag call rid parent cls (9 slots)
-     1  E_reply          time src dst tag rid                 (6)
-     2  E_window_open    time ep rid                          (4)
-     3  E_window_close   time ep rid policy                   (5)
-     4  E_checkpoint     time ep rid cycles                   (5)
-     5  E_store_logged   time ep rid bytes                    (5)
-     6  E_kcall          time ep rid             + 1 string   (4)
-     7  E_crash          time ep window_open rid + 2 strings  (5)
-     8  E_hang_detected  time ep                              (3)
-     9  E_rollback_begin time ep rid                          (4)
-    10  E_rollback_end   time ep rid bytes                    (5)
-    11  E_restart        time ep rid             + 1 string   (4)
-    12  E_halt           time kind status        + 1 string   (4)
-          (kind 0 completed / 1 shutdown / 2 panic / 3 hang;
-           the string only for kinds 1 and 2)
-    13  E_spawn          time ep parent                       (4)
-    v}
-
-    A capture and an event hook can be installed together; per event
-    the capture append happens first, then the hook fires, with
-    identical field values — so a journal recorded through the capture
-    is byte-equivalent to encoding the hook's event stream. *)
-type capture = {
-  mutable cap_buf : int array;
-  mutable cap_pos : int;
-  mutable cap_strs : string array;
-  mutable cap_spos : int;
-  mutable cap_drain : unit -> unit;
-}
-
-val set_capture : t -> capture option -> unit
+    Closure observers install {!Capture.of_hook}; the journal writer
+    installs its own log ([Journal.capture]), whose drain defers every
+    codec byte off the emission path — what holds the <5%
+    attached-recording overhead gate in [bench/journal_bench.ml]. *)
 
 val set_vtime_sampler : t -> interval:int -> (int -> unit) option -> unit
 (** Virtual-time sampling hook, the telemetry engine's tap

@@ -103,17 +103,17 @@ type writer = {
      mirrors this state while iterating. *)
   mutable last_time : int;
   mutable last_rid : int;
-  (* Raw capture log ([Kernel.capture]): the per-event hot path — the
+  (* Raw capture log ([Capture.t]): the per-event hot path — the
      kernel's emission sites, or [write] below — appends plain scalars
-     here (and string pointers to [cap_strs] — no copy, the kernel's
-     strings are immutable) and returns. Varint encoding, framing and
+     here (and string pointers — no copy, the kernel's strings are
+     immutable) and returns. Varint encoding, framing and
      CRCs all happen in [transcode], which sweeps the log in one batch
      at a drain boundary: when the log reaches its cap (amortized, for
      long runs), at [close], or when an accessor needs exact counts.
      Deferring the codec off the emission path is what holds the
      attached-recording overhead gate: per event the run pays a
      handful of int stores, not a wire encoder. *)
-  w_cap : Kernel.capture;
+  w_cap : Capture.t;
 }
 
 (* Deferred per-record CRCs: the direct encode path leaves each
@@ -384,35 +384,29 @@ let[@inline] drid w rid =
   dput w (rid - w.last_rid);
   w.last_rid <- rid
 
-let[@inline] cls_code = function
-  | Seep.Read_only -> 0
-  | Seep.State_modifying -> 1
-  | Seep.Reply -> 2
+(* One encoder per constructor: the [Capture.visitor] [transcode]'s
+   batched sweep over the raw capture log calls. Tags and SEEP classes
+   arrive as the integer codes the log stores. *)
 
-(* One encoder per constructor, the targets of [transcode]'s batched
-   sweep over the raw capture log. Tags and SEEP classes arrive as the
-   integer codes the log stores ([Message.Tag.to_index], [cls_code]).
-   Only [transcode] (and [put_header]'s scratch path) reaches these. *)
-
-let enc_msg w ~time ~src ~dst ~tagi ~call ~rid ~parent ~clsc =
+let enc_msg w ~time ~src ~dst ~tag ~call ~rid ~parent ~cls =
   let start = begin_direct w 0 in
-  dbyte w (0 lor (if call then 0x10 else 0) lor (clsc lsl 5));
+  dbyte w (0 lor (if call then 0x10 else 0) lor (cls lsl 5));
   dtime w time;
   dput w src;
   dput w dst;
-  dput w tagi;
+  dput w tag;
   drid w rid;
   (* parents are causally near their rid (0 only at roots) *)
   dput w (rid - parent);
   finish_direct w start
 
-let enc_reply w ~time ~src ~dst ~tagi ~rid =
+let enc_reply w ~time ~src ~dst ~tag ~rid =
   let start = begin_direct w 0 in
   dbyte w 1;
   dtime w time;
   dput w src;
   dput w dst;
-  dput w tagi;
+  dput w tag;
   drid w rid;
   finish_direct w start
 
@@ -513,194 +507,65 @@ let enc_spawn w ~time ~ep ~parent =
   dbyte w 13; dtime w time; dput w ep; dput w parent;
   finish_direct w start
 
-let[@inline] halt_kind = function
-  | Kernel.H_completed _ -> 0
-  | Kernel.H_shutdown _ -> 1
-  | Kernel.H_panic _ -> 2
-  | Kernel.H_hang -> 3
-
 (* Halt arrives pre-decomposed (kind code, exit status, reason) so the
-   transcode loop never reconstructs a [Kernel.halt] value — the
+   transcode sweep never reconstructs a [Kernel.halt] value — the
    encode sweep must allocate nothing. [reason] is "" except for
    shutdown/panic (kinds 1 and 2), the only kinds that encode it. *)
-let enc_halt w ~time ~hkind ~status ~reason =
+let enc_halt w ~time ~kind ~status ~reason =
   let extra = String.length reason in
   if extra <= 16_000 then begin
     let start = begin_direct w extra in
-    dbyte w (12 lor (hkind lsl 4));
+    dbyte w (12 lor (kind lsl 4));
     dtime w time;
-    (match hkind with
+    (match kind with
      | 0 -> dput w status
      | 1 | 2 -> dstr w reason
      | _ -> ());
     finish_direct w start
   end
   else begin
-    put_byte w (12 lor (hkind lsl 4));
+    put_byte w (12 lor (kind lsl 4));
     put_int w (time - w.last_time); w.last_time <- time;
-    (match hkind with
+    (match kind with
      | 0 -> put_int w status
      | 1 | 2 -> put_str w reason
      | _ -> ());
     flush_record w
   end
 
-(* ---- raw capture log -> wire format --------------------------------
+let encoder =
+  { Capture.on_msg = enc_msg; on_reply = enc_reply;
+    on_window_open = enc_window_open; on_window_close = enc_window_close;
+    on_checkpoint = enc_checkpoint; on_store_logged = enc_store_logged;
+    on_kcall = enc_kcall; on_crash = enc_crash;
+    on_hang_detected = enc_hang_detected;
+    on_rollback_begin = enc_rollback_begin;
+    on_rollback_end = enc_rollback_end; on_restart = enc_restart;
+    on_halt = enc_halt; on_spawn = enc_spawn }
 
-   The entry layout lives in [w.w_cap], a [Kernel.capture]: the
-   kernel's own emission sites append entries with no closure call
-   (see the layout table in kernel.mli), and [write] below appends
-   the identical entries from event values — so a journal recorded
-   through the kernel capture is byte-identical to one written from
-   the equivalent event stream. *)
-
-(* Sweep the raw log through the encoders in one batch. Strings are
-   cleared afterwards so the log never pins kernel strings past their
-   encode. Everything here runs over warm fixed buffers and allocates
-   nothing — it is safe (and cheap) to call at any entry boundary. *)
+(* Sweep the raw log through the encoders in one batch, then clear it
+   so it never pins kernel strings past their encode. Everything here
+   runs over warm fixed buffers and allocates nothing — it is safe (and
+   cheap) to call at any entry boundary. *)
 let transcode w =
-  let c = w.w_cap in
-  if not w.closed && c.Kernel.cap_pos > 0 then begin
-    let a = c.Kernel.cap_buf and n = c.Kernel.cap_pos in
-    let strs = c.Kernel.cap_strs in
-    let i = ref 0 and si = ref 0 in
-    while !i < n do
-      let p = !i in
-      (match Array.unsafe_get a p with
-       | 0 ->
-         enc_msg w ~time:(Array.unsafe_get a (p + 1))
-           ~src:(Array.unsafe_get a (p + 2))
-           ~dst:(Array.unsafe_get a (p + 3))
-           ~tagi:(Array.unsafe_get a (p + 4))
-           ~call:(Array.unsafe_get a (p + 5) <> 0)
-           ~rid:(Array.unsafe_get a (p + 6))
-           ~parent:(Array.unsafe_get a (p + 7))
-           ~clsc:(Array.unsafe_get a (p + 8));
-         i := p + 9
-       | 1 ->
-         enc_reply w ~time:(Array.unsafe_get a (p + 1))
-           ~src:(Array.unsafe_get a (p + 2))
-           ~dst:(Array.unsafe_get a (p + 3))
-           ~tagi:(Array.unsafe_get a (p + 4))
-           ~rid:(Array.unsafe_get a (p + 5));
-         i := p + 6
-       | 2 ->
-         enc_window_open w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3));
-         i := p + 4
-       | 3 ->
-         enc_window_close w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3))
-           ~policy:(Array.unsafe_get a (p + 4) <> 0);
-         i := p + 5
-       | 4 ->
-         enc_checkpoint w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3))
-           ~cycles:(Array.unsafe_get a (p + 4));
-         i := p + 5
-       | 5 ->
-         enc_store_logged w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3))
-           ~bytes:(Array.unsafe_get a (p + 4));
-         i := p + 5
-       | 6 ->
-         let kc = Array.unsafe_get strs !si in
-         incr si;
-         enc_kcall w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3))
-           ~kc;
-         i := p + 4
-       | 7 ->
-         let reason = Array.unsafe_get strs !si in
-         let policy = Array.unsafe_get strs (!si + 1) in
-         si := !si + 2;
-         enc_crash w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2))
-           ~window_open:(Array.unsafe_get a (p + 3) <> 0)
-           ~rid:(Array.unsafe_get a (p + 4)) ~reason ~policy;
-         i := p + 5
-       | 8 ->
-         enc_hang_detected w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2));
-         i := p + 3
-       | 9 ->
-         enc_rollback_begin w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3));
-         i := p + 4
-       | 10 ->
-         enc_rollback_end w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3))
-           ~bytes:(Array.unsafe_get a (p + 4));
-         i := p + 5
-       | 11 ->
-         let policy = Array.unsafe_get strs !si in
-         incr si;
-         enc_restart w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2)) ~rid:(Array.unsafe_get a (p + 3))
-           ~policy;
-         i := p + 4
-       | 12 ->
-         let hkind = Array.unsafe_get a (p + 2) in
-         let reason =
-           if hkind = 1 || hkind = 2 then begin
-             let s = Array.unsafe_get strs !si in
-             incr si;
-             s
-           end
-           else ""
-         in
-         enc_halt w ~time:(Array.unsafe_get a (p + 1)) ~hkind
-           ~status:(Array.unsafe_get a (p + 3)) ~reason;
-         i := p + 4
-       | 13 ->
-         enc_spawn w ~time:(Array.unsafe_get a (p + 1))
-           ~ep:(Array.unsafe_get a (p + 2))
-           ~parent:(Array.unsafe_get a (p + 3));
-         i := p + 4
-       | k -> invalid_arg (Printf.sprintf "Journal: corrupt raw log kind %d" k))
-    done;
-    for k = 0 to c.Kernel.cap_spos - 1 do
-      Array.unsafe_set strs k ""
-    done;
-    c.Kernel.cap_pos <- 0;
-    c.Kernel.cap_spos <- 0
+  if not w.closed then begin
+    Capture.walk w.w_cap encoder w;
+    Capture.clear w.w_cap
   end
 
 (* Growth policy: double up to a cap, then transcode in place — the
    raw log is a fixed memory budget, not an unbounded spool. A run
    longer than the cap pays the encode sweep incrementally (amortized
    over ~58k events per sweep); shorter runs defer every encode byte
-   to [close]. *)
+   to [close]. The string cap is a pointer stash, not a copy (entries
+   are the kernel's interned kcall / policy / reason constants), sized
+   to run out no earlier than the int log. *)
 let raw_cap_ints = 1 lsl 19 (* 4 MiB *)
-
-(* Pointer stash, not a copy: entries are the kernel's interned kcall /
-   policy / reason constants, so a deep stash costs one word each. It
-   is sized to run out no earlier than the int log (strings appear at
-   most once per ~4-slot entry). *)
 let str_cap = 1 lsl 17
 
-(* The capture's drain: restore the room contract (>= 16 buffer slots,
-   >= 2 string slots free) by growing up to the caps, then by encoding
-   the log away. The kernel invokes this from its append sites; the
-   [write] path below funnels through it too. *)
 let cap_ensure w =
-  let c = w.w_cap in
-  if c.Kernel.cap_pos + 16 > Array.length c.Kernel.cap_buf then begin
-    if Array.length c.Kernel.cap_buf >= raw_cap_ints then transcode w
-    else begin
-      let a = Array.make (2 * Array.length c.Kernel.cap_buf) 0 in
-      Array.blit c.Kernel.cap_buf 0 a 0 c.Kernel.cap_pos;
-      c.Kernel.cap_buf <- a
-    end
-  end;
-  if c.Kernel.cap_spos + 2 > Array.length c.Kernel.cap_strs then begin
-    if Array.length c.Kernel.cap_strs >= str_cap then transcode w
-    else begin
-      let a = Array.make (2 * Array.length c.Kernel.cap_strs) "" in
-      Array.blit c.Kernel.cap_strs 0 a 0 c.Kernel.cap_spos;
-      c.Kernel.cap_strs <- a
-    end
-  end
+  if not (Capture.grow w.w_cap ~max_ints:raw_cap_ints ~max_strs:str_cap) then
+    transcode w
 
 let make_writer sink header =
   let w =
@@ -716,14 +581,9 @@ let make_writer sink header =
       closed = false;
       last_time = 0;
       last_rid = 0;
-      w_cap =
-        { Kernel.cap_buf = Array.make 8192 0;
-          cap_pos = 0;
-          cap_strs = Array.make 64 "";
-          cap_spos = 0;
-          cap_drain = (fun () -> ()) } }
+      w_cap = Capture.create () }
   in
-  w.w_cap.Kernel.cap_drain <- (fun () -> cap_ensure w);
+  Capture.set_drain w.w_cap (fun () -> cap_ensure w);
   (match sink with
    | S_mem buf -> Buffer.add_string buf magic
    | S_file oc -> output_string oc magic);
@@ -735,150 +595,10 @@ let to_file ~path header = make_writer (S_file (open_out_bin path)) header
 
 let to_memory header = make_writer (S_mem (Buffer.create 4096)) header
 
-(* Per-event appends for the event-value path ([write]): the same
-   entries the kernel's capture sites lay down, so both paths produce
-   byte-identical journals for the same logical event stream. *)
+let write w ev = if not w.closed then Capture.append w.w_cap ev
 
-let[@inline] room w ni ns =
-  let c = w.w_cap in
-  if c.Kernel.cap_pos + ni > Array.length c.Kernel.cap_buf
-     || (ns > 0 && c.Kernel.cap_spos + ns > Array.length c.Kernel.cap_strs)
-  then cap_ensure w
-
-let[@inline] push_str w s =
-  let c = w.w_cap in
-  Array.unsafe_set c.Kernel.cap_strs c.Kernel.cap_spos s;
-  c.Kernel.cap_spos <- c.Kernel.cap_spos + 1
-
-let[@inline] app_msg w ~time ~src ~dst ~tagi ~call ~rid ~parent ~clsc =
-  room w 9 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 0;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) src;
-  Array.unsafe_set a (p + 3) dst;
-  Array.unsafe_set a (p + 4) tagi;
-  Array.unsafe_set a (p + 5) (if call then 1 else 0);
-  Array.unsafe_set a (p + 6) rid;
-  Array.unsafe_set a (p + 7) parent;
-  Array.unsafe_set a (p + 8) clsc;
-  c.Kernel.cap_pos <- p + 9
-
-let[@inline] app_reply w ~time ~src ~dst ~tagi ~rid =
-  room w 6 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 1;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) src;
-  Array.unsafe_set a (p + 3) dst;
-  Array.unsafe_set a (p + 4) tagi;
-  Array.unsafe_set a (p + 5) rid;
-  c.Kernel.cap_pos <- p + 6
-
-let[@inline] app3 w kind ~time ~ep =
-  room w 3 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  c.Kernel.cap_pos <- p + 3
-
-let[@inline] app4 w kind ~time ~ep ~rid =
-  room w 4 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  c.Kernel.cap_pos <- p + 4
-
-let[@inline] app5 w kind ~time ~ep ~rid ~x =
-  room w 5 0;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  Array.unsafe_set a (p + 4) x;
-  c.Kernel.cap_pos <- p + 5
-
-let[@inline] app_str4 w kind ~time ~ep ~rid ~s =
-  room w 4 1;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p kind;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) rid;
-  c.Kernel.cap_pos <- p + 4;
-  push_str w s
-
-let[@inline] app_crash w ~time ~ep ~reason ~window_open ~rid ~policy =
-  room w 5 2;
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 7;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) ep;
-  Array.unsafe_set a (p + 3) (if window_open then 1 else 0);
-  Array.unsafe_set a (p + 4) rid;
-  c.Kernel.cap_pos <- p + 5;
-  push_str w reason;
-  push_str w policy
-
-let[@inline] app_halt w ~time ~halt =
-  let hkind = halt_kind halt in
-  (match halt with
-   | Kernel.H_shutdown s | Kernel.H_panic s ->
-     room w 4 1;
-     push_str w s
-   | Kernel.H_completed _ | Kernel.H_hang -> room w 4 0);
-  let c = w.w_cap in
-  let a = c.Kernel.cap_buf and p = c.Kernel.cap_pos in
-  Array.unsafe_set a p 12;
-  Array.unsafe_set a (p + 1) time;
-  Array.unsafe_set a (p + 2) hkind;
-  Array.unsafe_set a (p + 3)
-    (match halt with Kernel.H_completed status -> status | _ -> 0);
-  c.Kernel.cap_pos <- p + 4
-
-let write w ev =
-  if not w.closed then
-    match ev with
-    | Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls } ->
-      app_msg w ~time ~src ~dst ~tagi:(Message.Tag.to_index tag) ~call ~rid
-        ~parent ~clsc:(cls_code cls)
-    | Kernel.E_reply { time; src; dst; tag; rid } ->
-      app_reply w ~time ~src ~dst ~tagi:(Message.Tag.to_index tag) ~rid
-    | Kernel.E_window_open { time; ep; rid } -> app4 w 2 ~time ~ep ~rid
-    | Kernel.E_window_close { time; ep; rid; policy } ->
-      app5 w 3 ~time ~ep ~rid ~x:(if policy then 1 else 0)
-    | Kernel.E_checkpoint { time; ep; rid; cycles } ->
-      app5 w 4 ~time ~ep ~rid ~x:cycles
-    | Kernel.E_store_logged { time; ep; rid; bytes } ->
-      app5 w 5 ~time ~ep ~rid ~x:bytes
-    | Kernel.E_kcall { time; ep; rid; kc } -> app_str4 w 6 ~time ~ep ~rid ~s:kc
-    | Kernel.E_crash { time; ep; reason; window_open; rid; policy } ->
-      app_crash w ~time ~ep ~reason ~window_open ~rid ~policy
-    | Kernel.E_hang_detected { time; ep } -> app3 w 8 ~time ~ep
-    | Kernel.E_rollback_begin { time; ep; rid } -> app4 w 9 ~time ~ep ~rid
-    | Kernel.E_rollback_end { time; ep; rid; bytes } ->
-      app5 w 10 ~time ~ep ~rid ~x:bytes
-    | Kernel.E_restart { time; ep; rid; policy } ->
-      app_str4 w 11 ~time ~ep ~rid ~s:policy
-    | Kernel.E_halt { time; halt } -> app_halt w ~time ~halt
-    | Kernel.E_spawn { time; ep; parent } -> app4 w 13 ~time ~ep ~rid:parent
-
-(* The kernel-side tap: hand the run's [Kernel.capture] to
-   [Kernel.set_capture] and the emission sites append the same entries
-   [write] lays down, with no closure call per event — [write w ev]
-   and the capture path produce byte-identical journals for the same
-   logical event stream. *)
+(* The kernel-side tap: hand the run's capture to [Kernel.set_capture]
+   and the emission sites append the same entries [write] lays down. *)
 let capture w = w.w_cap
 
 let close w =
@@ -889,11 +609,7 @@ let close w =
     (* A capture left installed on a live kernel after close appends
        into a log nothing will ever encode; keep it from growing
        unboundedly by draining it to the floor. *)
-    let c = w.w_cap in
-    c.Kernel.cap_drain <-
-      (fun () ->
-         c.Kernel.cap_pos <- 0;
-         c.Kernel.cap_spos <- 0);
+    Capture.set_drain w.w_cap (fun () -> Capture.clear w.w_cap);
     match w.sink with S_file oc -> close_out oc | S_mem _ -> ()
   end
 

@@ -27,7 +27,7 @@
       [rid - parent]; the reader mirrors the two-counter state.
 
     Recording is two-stage. While the run is live, each event costs a
-    few plain int stores: the writer owns a {!Kernel.capture} raw log
+    few plain int stores: the writer owns a {!Capture.t} raw log
     and the kernel's emission sites append scalar entries to it with
     no closure call and no encoding (install it with
     [Kernel.set_capture]; [System.build ?journal] does). The codec —
@@ -73,17 +73,18 @@ val to_memory : header -> writer
     {!contents}. Used by tests and the replay property. *)
 
 val write : writer -> Kernel.event -> unit
-(** Append one framed event record from a constructed event — the
-    event-hook form of the encoder, used by {!of_events} and anywhere
-    an event value already exists. No-op after {!close}. *)
+(** Append one event value to the writer's capture log
+    ({!Capture.append}) — used by {!of_events} and anywhere an event
+    value already exists. No-op after {!close}. *)
 
-val capture : writer -> Kernel.capture
+val capture : writer -> Capture.t
 (** The writer's raw capture log, for [Kernel.set_capture] (this is
     what [System.build ?journal] installs): the kernel appends each
-    event's scalar fields directly, and the writer's drain encodes
-    them in batches off the hot path. For the same logical event
-    stream, the capture path and {!write} produce byte-identical
-    journals. Events captured after {!close} are discarded. *)
+    event's scalar fields directly, and the writer's drain grows the
+    log up to a fixed memory budget, encoding it in batches off the
+    hot path once full. {!write} appends the same entries, so the
+    capture path and {!write} produce byte-identical journals by
+    construction. Events captured after {!close} are discarded. *)
 
 val close : writer -> unit
 (** Flush and (for file writers) close the channel. Idempotent. *)

@@ -106,7 +106,8 @@ let record t ev =
   t.n <- t.n + 1;
   match t.meters with None -> () | Some m -> update m ev
 
-let attach t kernel = Kernel.set_event_hook kernel (Some (record t))
+let attach t kernel =
+  Kernel.set_capture kernel (Some (Capture.of_hook (record t)))
 
 let events t = Array.to_list (Array.sub t.evs 0 t.n)
 

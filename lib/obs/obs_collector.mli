@@ -1,4 +1,4 @@
-(** Event collector: the bridge between the kernel's event hook and the
+(** Event collector: the bridge between the kernel's event stream and the
     span builder / metrics registry.
 
     Unlike {!Tracer}, which keeps the last N events, the collector
@@ -22,9 +22,9 @@ val record : t -> Kernel.event -> unit
 (** The hook body. *)
 
 val attach : t -> Kernel.t -> unit
-(** Install as the kernel's event hook (replaces any previous hook).
-    Attach before boot — via [System.build ?event_hook] — to capture
-    boot traffic too. *)
+(** Install as the kernel's capture, via {!Capture.of_hook} (replaces
+    any previous capture). Attach before boot — via
+    [System.build ?event_hook] — to capture boot traffic too. *)
 
 val events : t -> Kernel.event list
 (** Everything recorded, oldest first. *)

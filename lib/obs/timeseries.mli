@@ -22,7 +22,7 @@
 
     The hot path ({!sample}) is {e zero allocation} (a gate in
     [bench/timeseries_bench.ml], same discipline as [Undo_log] and
-    [Kernel.capture]): one int-array store per source per tick, no
+    [Capture]): one int-array store per source per tick, no
     closure construction, no boxing. Source read functions are bound
     once at registration and must themselves be allocation-free — the
     kernel accessors documented as such ([run_queue_depth],

@@ -46,7 +46,8 @@ let record t ev =
     t.snapshots <- t.snapshots + 1
   | _ -> ()
 
-let attach t kernel = Kernel.set_event_hook kernel (Some (record t))
+let attach t kernel =
+  Kernel.set_capture kernel (Some (Capture.of_hook (record t)))
 
 let set_snapshot_on t p = t.snapshot_on <- p
 

@@ -21,7 +21,9 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity: 512 events. *)
 
 val attach : t -> Kernel.t -> unit
-(** Install as the kernel's event hook (replaces any previous hook). *)
+(** Install as the kernel's capture, via {!Capture.of_hook} (replaces
+    any previous capture). Events arrive in batches, in order; the ring
+    is complete whenever [Kernel.run] returns. *)
 
 val record : t -> Kernel.event -> unit
 (** The hook body: append one event, evicting the oldest when the ring

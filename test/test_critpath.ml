@@ -65,7 +65,7 @@ let test_conservation_crash_storm () =
   let sys = System.build ~seed:7 (Sysconf.uniform Policy.enhanced) in
   let k = System.kernel sys in
   let c = Obs_collector.create () in
-  Kernel.set_event_hook k (Some (Obs_collector.record c));
+  Obs_collector.attach c k;
   let reqs =
     Loadgen.inject k
       { Loadgen.default_spec with l_seed = 7; l_requests = 30; l_rate = 30_000 }
@@ -128,7 +128,7 @@ let test_session_spans () =
   let sys = System.build ~seed:11 (Sysconf.uniform Policy.enhanced) in
   let k = System.kernel sys in
   let c = Obs_collector.create () in
-  Kernel.set_event_hook k (Some (Obs_collector.record c));
+  Obs_collector.attach c k;
   let spec = { Loadgen.default_spec with l_seed = 11; l_requests = 20 } in
   ignore (Loadgen.inject k spec);
   Flight.arm_crash k (Some Endpoint.vfs);

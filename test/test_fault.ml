@@ -208,14 +208,14 @@ let test_machine_check_absorbed_and_recovered () =
           end
           else None));
   let mc_reasons = ref [] in
-  Kernel.set_event_hook k
+  Kernel.set_capture k
     (Some
-       (function
-         | Kernel.E_crash { reason; _ } ->
-           if String.length reason >= 14
-              && String.sub reason 0 14 = "machine check:"
-           then mc_reasons := reason :: !mc_reasons
-         | _ -> ()));
+       (Capture.of_hook (function
+          | Kernel.E_crash { reason; _ } ->
+            if String.length reason >= 14
+               && String.sub reason 0 14 = "machine check:"
+            then mc_reasons := reason :: !mc_reasons
+          | _ -> ())));
   let halt = System.run sys ~root:Testsuite.driver in
   Alcotest.(check bool) "fault fired" true !fired;
   Alcotest.(check bool) "machine-check crash observed" true
@@ -253,6 +253,29 @@ let test_fault_free_runs_have_no_machine_checks () =
               (Kernel.machine_checks (System.kernel sys)))
          [ ("suite", Testsuite.driver); ("quickstart", Workgen.quickstart) ])
     Policy.all_evaluated
+
+(* An observer's exception is a harness bug, not simulated data
+   corruption: it must abort the run, never reach the machine-check
+   trap as a simulated crash. The hook fails mid-run, inside a step —
+   where the capture's buffer overflows and drains. *)
+let test_observer_failure_is_not_a_crash () =
+  let sys = System.build ~seed:42 (Sysconf.uniform Policy.enhanced) in
+  let k = System.kernel sys in
+  let stores = ref 0 in
+  Kernel.set_capture k
+    (Some
+       (Capture.of_hook (function
+          | Kernel.E_store_logged _ ->
+            incr stores;
+            if !stores = 50 then failwith "observer bug"
+          | _ -> ())));
+  (match System.run sys ~root:Testsuite.driver with
+   | exception Capture.Observer_failure (Failure m) ->
+     Alcotest.(check string) "the hook's own exception" "observer bug" m
+   | halt ->
+     Alcotest.fail ("run survived its observer: " ^ Kernel.halt_to_string halt));
+  Alcotest.(check int) "no machine check" 0 (Kernel.machine_checks k);
+  Alcotest.(check int) "no simulated crash" 0 (Kernel.crashes k)
 
 (* ---------------- disruption -------------------------------------- *)
 
@@ -322,7 +345,9 @@ let () =
           Alcotest.test_case "campaign classifies" `Quick
             test_machine_check_campaign_classifies;
           Alcotest.test_case "none in fault-free runs" `Quick
-            test_fault_free_runs_have_no_machine_checks ] );
+            test_fault_free_runs_have_no_machine_checks;
+          Alcotest.test_case "observer failure is not a crash" `Quick
+            test_observer_failure_is_not_a_crash ] );
       ( "disruption",
         [ Alcotest.test_case "reference run" `Quick test_disruption_no_faults_reference;
           Alcotest.test_case "survives injection" `Quick

@@ -82,6 +82,143 @@ let test_writer_counters () =
     (Journal.records_written w)
 
 (* ------------------------------------------------------------------ *)
+(* Capture codec: the raw-log entry layout round-trips                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Random event lists that always hold every kind, every halt kind and
+   non-trivial strings (one of each, shuffled in among random extras),
+   with field values on and off the single-byte varint fast path. *)
+let gen_events =
+  let open QCheck.Gen in
+  let time = int_range 0 5_000_000 and ep = int_range 0 300
+  and rid = int_range 0 100_000 and n = int_range (-3) 70_000 in
+  let str = string_size ~gen:printable (int_range 0 40) in
+  let tag =
+    map (fun i -> Option.get (Message.Tag.of_index i))
+      (int_range 0 (Message.Tag.n_tags - 1))
+  in
+  let cls = oneofl [ Seep.Read_only; Seep.State_modifying; Seep.Reply ] in
+  let halt_of = function
+    | 0 -> map (fun s -> Kernel.H_completed s) n
+    | 1 -> map (fun s -> Kernel.H_shutdown s) str
+    | 2 -> map (fun s -> Kernel.H_panic s) str
+    | _ -> return Kernel.H_hang
+  in
+  let of_kind = function
+    | 0 ->
+      let+ time = time and+ src = ep and+ dst = ep and+ tag = tag
+      and+ call = bool and+ rid = rid and+ parent = rid and+ cls = cls in
+      Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls }
+    | 1 ->
+      let+ time = time and+ src = ep and+ dst = ep and+ tag = tag
+      and+ rid = rid in
+      Kernel.E_reply { time; src; dst; tag; rid }
+    | 2 ->
+      let+ time = time and+ ep = ep and+ rid = rid in
+      Kernel.E_window_open { time; ep; rid }
+    | 3 ->
+      let+ time = time and+ ep = ep and+ rid = rid and+ policy = bool in
+      Kernel.E_window_close { time; ep; rid; policy }
+    | 4 ->
+      let+ time = time and+ ep = ep and+ rid = rid and+ cycles = n in
+      Kernel.E_checkpoint { time; ep; rid; cycles }
+    | 5 ->
+      let+ time = time and+ ep = ep and+ rid = rid and+ bytes = n in
+      Kernel.E_store_logged { time; ep; rid; bytes }
+    | 6 ->
+      let+ time = time and+ ep = ep and+ rid = rid and+ kc = str in
+      Kernel.E_kcall { time; ep; rid; kc }
+    | 7 ->
+      let+ time = time and+ ep = ep and+ reason = str
+      and+ window_open = bool and+ rid = rid and+ policy = str in
+      Kernel.E_crash { time; ep; reason; window_open; rid; policy }
+    | 8 ->
+      let+ time = time and+ ep = ep in
+      Kernel.E_hang_detected { time; ep }
+    | 9 ->
+      let+ time = time and+ ep = ep and+ rid = rid in
+      Kernel.E_rollback_begin { time; ep; rid }
+    | 10 ->
+      let+ time = time and+ ep = ep and+ rid = rid and+ bytes = n in
+      Kernel.E_rollback_end { time; ep; rid; bytes }
+    | 11 ->
+      let+ time = time and+ ep = ep and+ rid = rid and+ policy = str in
+      Kernel.E_restart { time; ep; rid; policy }
+    | 12 -> assert false (* halts come from [halt_of] *)
+    | _ ->
+      let+ time = time and+ ep = ep and+ parent = ep in
+      Kernel.E_spawn { time; ep; parent }
+  in
+  let halt_ev k =
+    let+ time = time and+ halt = halt_of k in
+    Kernel.E_halt { time; halt }
+  in
+  let every_kind =
+    List.map of_kind [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 13 ]
+    @ List.map halt_ev [ 0; 1; 2; 3 ]
+  in
+  let any =
+    int_range 0 13 >>= fun k ->
+    if k = 12 then int_range 0 3 >>= halt_ev else of_kind k
+  in
+  let* fixed = flatten_l every_kind and* extra = list_size (int_range 0 60) any in
+  shuffle_l (fixed @ extra)
+
+let arb_events =
+  QCheck.make gen_events
+    ~print:(fun evs -> Printf.sprintf "%d events" (List.length evs))
+
+let prop_capture_roundtrip =
+  QCheck.Test.make ~name:"Capture.append then decode is the identity"
+    ~count:200 arb_events (fun evs ->
+        let got = ref [] in
+        let c = Capture.of_hook (fun e -> got := e :: !got) in
+        (* a drain at every entry boundary *)
+        List.iter (fun e -> Capture.append c e; Capture.drain c) evs;
+        let per_entry = List.rev !got in
+        (* no drain until the whole list is in the log *)
+        got := [];
+        List.iter (Capture.append c) evs;
+        let undelivered = !got = [] in
+        Capture.drain c;
+        per_entry = evs && undelivered && List.rev !got = evs)
+
+(* The emission sites' scalar appenders and [Journal.of_events]'s event
+   values must lay down the same entries. *)
+let append_scalar c = function
+  | Kernel.E_msg { time; src; dst; tag; call; rid; parent; cls } ->
+    Capture.msg c ~time ~src ~dst ~tag ~call ~rid ~parent ~cls
+  | Kernel.E_reply { time; src; dst; tag; rid } ->
+    Capture.reply c ~time ~src ~dst ~tag ~rid
+  | Kernel.E_window_open { time; ep; rid } -> Capture.window_open c ~time ~ep ~rid
+  | Kernel.E_window_close { time; ep; rid; policy } ->
+    Capture.window_close c ~time ~ep ~rid ~policy
+  | Kernel.E_checkpoint { time; ep; rid; cycles } ->
+    Capture.checkpoint c ~time ~ep ~rid ~cycles
+  | Kernel.E_store_logged { time; ep; rid; bytes } ->
+    Capture.store_logged c ~time ~ep ~rid ~bytes
+  | Kernel.E_kcall { time; ep; rid; kc } -> Capture.kcall c ~time ~ep ~rid ~kc
+  | Kernel.E_crash { time; ep; reason; window_open; rid; policy } ->
+    Capture.crash c ~time ~ep ~reason ~window_open ~rid ~policy
+  | Kernel.E_hang_detected { time; ep } -> Capture.hang_detected c ~time ~ep
+  | Kernel.E_rollback_begin { time; ep; rid } ->
+    Capture.rollback_begin c ~time ~ep ~rid
+  | Kernel.E_rollback_end { time; ep; rid; bytes } ->
+    Capture.rollback_end c ~time ~ep ~rid ~bytes
+  | Kernel.E_restart { time; ep; rid; policy } ->
+    Capture.restart c ~time ~ep ~rid ~policy
+  | Kernel.E_halt { time; halt } -> Capture.halt c ~time ~halt
+  | Kernel.E_spawn { time; ep; parent } -> Capture.spawn c ~time ~ep ~parent
+
+let prop_of_events_matches_appenders =
+  QCheck.Test.make ~name:"of_events bytes = emit-site appender bytes"
+    ~count:200 arb_events (fun evs ->
+        let w = Journal.to_memory sample_header in
+        List.iter (append_scalar (Journal.capture w)) evs;
+        Journal.close w;
+        String.equal (Journal.contents w) (Journal.of_events sample_header evs))
+
+(* ------------------------------------------------------------------ *)
 (* Damaged input: always Error, never an escaped exception             *)
 (* ------------------------------------------------------------------ *)
 
@@ -720,7 +857,9 @@ let () =
             test_roundtrip_all_constructors;
           Alcotest.test_case "empty journal" `Quick
             test_empty_journal_roundtrip;
-          Alcotest.test_case "writer counters" `Quick test_writer_counters ] );
+          Alcotest.test_case "writer counters" `Quick test_writer_counters;
+          QCheck_alcotest.to_alcotest prop_capture_roundtrip;
+          QCheck_alcotest.to_alcotest prop_of_events_matches_appenders ] );
       ( "robustness",
         [ Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "every truncation errors" `Quick
