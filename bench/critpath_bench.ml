@@ -56,7 +56,7 @@ let run_counted ~requests () =
 let collect_events ~spec ~crash =
   let header =
     match
-      Flight.make_header ~seed:workload_seed ~spec ~workload:"quickstart"
+      Runspec.make_header ~seed:workload_seed ~spec ~workload:"quickstart"
         ~crash ()
     with
     | Ok h -> h
@@ -65,7 +65,7 @@ let collect_events ~spec ~crash =
   let c = Obs_collector.create () in
   let kr = ref None in
   ignore
-    (Flight.exec
+    (Runspec.exec
        ~prepare:(fun sys ->
            let k = System.kernel sys in
            Kernel.enable_cycle_counts k;

@@ -30,7 +30,7 @@ open Harness
 let workload_seed = 42
 
 let header ~workload ~crash =
-  match Flight.make_header ~seed:workload_seed ~workload ~crash () with
+  match Runspec.make_header ~seed:workload_seed ~workload ~crash () with
   | Ok h -> h
   | Error m -> failwith ("journal bench: " ^ m)
 
@@ -141,13 +141,13 @@ let encode_alloc_probe () =
    comes from a second run of the same deterministic workload. *)
 let round_trip_probe () =
   let h = header ~workload:"workgen" ~crash:"ds" in
+  let spec =
+    match Runspec.of_header h with
+    | Ok spec -> spec
+    | Error m -> failwith ("journal bench: " ^ m)
+  in
   let crashy_run ?journal ?event_hook () =
-    let sys =
-      System.build ~seed:workload_seed ?journal ?event_hook
-        (Sysconf.uniform Policy.enhanced)
-    in
-    Flight.arm_crash (System.kernel sys) (Flight.server_of_name "ds");
-    match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
+    match snd (Runspec.run ?journal ?event_hook spec) with
     | Kernel.H_completed _ -> ()
     | halt -> failwith ("round trip halted: " ^ Kernel.halt_to_string halt)
   in

@@ -110,7 +110,8 @@ let survivability_table title model paper =
    else
      Printf.printf
        "(%d fault sites per policy; OSIRIS_SAMPLE=0 for all sites)\n" sample);
-  let rows = Campaign.survivability ~sample model Policy.all_evaluated in
+  let rows = Campaign.survivability_matrix ~sample model
+      (List.map Sysconf.uniform Policy.all_evaluated) in
   let render_row r =
     let name = r.Campaign.row_policy in
     let pp, pf, ps, pc =
@@ -502,7 +503,8 @@ let ablation () =
     (fun k ->
        let rows =
          if k = 1 then
-           Campaign.survivability ~sample:40 Edfi.Fail_stop [ Policy.enhanced ]
+           Campaign.survivability_matrix ~sample:40 Edfi.Fail_stop
+             [ Sysconf.uniform Policy.enhanced ]
          else
            Campaign.survivability_multi ~sample:40 ~k Edfi.Fail_stop
              [ Policy.enhanced ]
@@ -523,8 +525,8 @@ let ablation () =
     List.map
       (fun seed ->
          match
-           Campaign.survivability ~seed ~sample:40 Edfi.Fail_stop
-             [ Policy.enhanced ]
+           Campaign.survivability_matrix ~seed ~sample:40 Edfi.Fail_stop
+             [ Sysconf.uniform Policy.enhanced ]
          with
          | [ r ] -> 100. *. Campaign.fraction r Campaign.Shutdown
          | _ -> 0.)

@@ -134,8 +134,8 @@ let run () =
     (if isolation then "identical" else "DIVERGED");
   (* ---- the campaign, sequential then pooled ---- *)
   let campaign j stats =
-    Campaign.survivability ~seed ~sample ~jobs:j ?stats Edfi.Fail_stop
-      Policy.all_evaluated
+    Campaign.survivability_matrix ~seed ~sample ~jobs:j ?stats Edfi.Fail_stop
+      (List.map Sysconf.uniform Policy.all_evaluated)
   in
   let seq_rows, seq_ns = time (fun () -> campaign 1 None) in
   let pool_stats = ref None in

@@ -35,7 +35,7 @@ let workload_seed = 42
 (* ------------------------------------------------------------------ *)
 
 let synth_header () =
-  match Flight.make_header ~seed:workload_seed ~workload:"workgen" () with
+  match Runspec.make_header ~seed:workload_seed ~workload:"workgen" () with
   | Ok h -> h
   | Error m -> failwith ("query bench: " ^ m)
 
@@ -96,7 +96,7 @@ let run () =
      taxes the two variants' GC behavior unevenly. *)
   let header =
     match
-      Flight.make_header ~seed:workload_seed ~workload:"workgen"
+      Runspec.make_header ~seed:workload_seed ~workload:"workgen"
         ~crash:"vfs" ()
     with
     | Ok h -> h

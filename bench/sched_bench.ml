@@ -162,36 +162,36 @@ let best_ns_interleaved variants =
 (* ---- trajectory identity ------------------------------------------ *)
 
 let header ~workload ~crash =
-  match Flight.make_header ~seed:42 ~workload ~crash () with
+  match Runspec.make_header ~seed:42 ~workload ~crash () with
   | Ok h -> h
   | Error m -> failwith ("sched bench: " ^ m)
 
 (* One full system run, fingerprinted down to the bytes: halt, the
    complete ss_* counter row of every core server, the diagnostic log,
    and the framed journal. *)
-let run_fingerprint ~oracle ~root ~workload ~crash () =
+let run_fingerprint ~oracle ~workload ~crash () =
   Sched.use_oracle := oracle;
   Fun.protect
     ~finally:(fun () -> Sched.use_oracle := false)
     (fun () ->
-       let w = Journal.to_memory (header ~workload ~crash) in
-       let sys =
-         System.build ~seed:42 ~journal:w (Sysconf.uniform Policy.enhanced)
+       let h = header ~workload ~crash in
+       let spec =
+         match Runspec.of_header h with
+         | Ok spec -> spec
+         | Error m -> failwith ("sched bench: " ^ m)
        in
-       let k = System.kernel sys in
-       (match Flight.server_of_name crash with
-        | Some _ as target -> Flight.arm_crash k target
-        | None -> ());
-       let halt = System.run sys ~root in
+       let w = Journal.to_memory h in
+       let sys, halt = Runspec.run ~journal:w spec in
        Journal.close w;
+       let k = System.kernel sys in
        let stats = List.map (Kernel.server_stats k) System.core_servers in
        Marshal.to_string
          (halt, stats, System.log_lines sys, Journal.contents w)
          [])
 
-let trajectory_pair ~root ~workload ~crash =
-  let wheel = run_fingerprint ~oracle:false ~root ~workload ~crash () in
-  let oracle = run_fingerprint ~oracle:true ~root ~workload ~crash () in
+let trajectory_pair ~workload ~crash =
+  let wheel = run_fingerprint ~oracle:false ~workload ~crash () in
+  let oracle = run_fingerprint ~oracle:true ~workload ~crash () in
   wheel = oracle
 
 (* ------------------------------------------------------------------ *)
@@ -235,11 +235,10 @@ let run () =
     (if alloc_ok then "ok" else "FAILED");
   (* ---- trajectory identity ---- *)
   let driver_ok =
-    trajectory_pair ~root:Testsuite.driver ~workload:"suite" ~crash:"none"
+    trajectory_pair ~workload:"suite" ~crash:"none"
   in
   let crash_ok =
-    trajectory_pair ~root:Workgen.quickstart ~workload:"quickstart"
-      ~crash:"vfs"
+    trajectory_pair ~workload:"quickstart" ~crash:"vfs"
   in
   Printf.printf
     "trajectory identity (halt + ss_* + log + journal bytes):\n\

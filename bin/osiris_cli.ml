@@ -5,7 +5,6 @@
      bench     run one Unixbench workload and print its score
      coverage  print per-server recovery coverage (Table I style)
      memory    print per-server memory overhead (Table VI style)
-     survive   fault-injection survivability campaign (Tables II/III)
      disrupt   service-disruption sweep on one benchmark (Figure 3)
      sites     profile and list fault sites
      stress    run randomly generated workloads (deterministic per seed)
@@ -27,7 +26,8 @@
      health    recovery-health watchdog report (MTTR, crash loops,
                overhead vs baseline)
      survivability
-               mixed-policy survivability matrix over system specs
+               fault-injection survivability matrix over system specs
+               (default rows: Tables II/III)
      policies  list the named recovery policies and the spec grammar
      record    run a workload with the flight recorder attached
      replay    re-execute a journal, diff streams, report divergence
@@ -90,12 +90,27 @@ let setup_logs () =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ())
 
+(* Every single-run command describes its run as a [Runspec.t] and
+   hands it to [Runspec.run] with its observers attached. *)
+let described ~seed ~workload ~faults conf =
+  { Runspec.rs_seed = seed;
+    rs_arch = Kernel.Microkernel;
+    rs_conf = conf;
+    rs_workload = workload;
+    rs_faults = faults }
+
+let crash_faults ~count = function
+  | None -> []
+  | Some ep -> [ Runspec.Crash_replies (ep, count) ]
+
 let suite_cmd =
   let run policy seed verbose trace =
     setup_logs ();
     if trace then Logs.set_level (Some Logs.Debug);
-    let sys = System.build ~seed ~trace (Sysconf.uniform policy) in
-    let halt = System.run sys ~root:Testsuite.driver in
+    let sys, halt =
+      Runspec.run ~trace
+        (described ~seed ~workload:"suite" ~faults:[] (Sysconf.uniform policy))
+    in
     let lines = System.log_lines sys in
     if verbose then List.iter print_endline lines;
     let r = Testsuite.parse_results lines in
@@ -176,47 +191,6 @@ let memory_cmd =
   Cmd.v (Cmd.info "memory" ~doc:"Per-server memory overhead (Table VI).")
     Term.(const run $ seed_arg)
 
-let survive_cmd =
-  let model_arg =
-    let model_c =
-      Arg.enum [ ("fail-stop", Edfi.Fail_stop); ("full-edfi", Edfi.Full_edfi) ]
-    in
-    Arg.(value & opt model_c Edfi.Fail_stop
-         & info [ "model" ] ~docv:"MODEL" ~doc:"Fault model.")
-  in
-  let sample_arg =
-    Arg.(value & opt int 0
-         & info [ "sample" ] ~docv:"N"
-           ~doc:"Fault sites per policy (0 = all, the default — the full \
-                 757-site-style sweep).")
-  in
-  let run model sample seed jobs =
-    setup_logs ();
-    let pool_stats = ref None in
-    let rows =
-      Campaign.survivability ~seed ~sample ~jobs
-        ~stats:(fun s -> pool_stats := Some s)
-        ~progress:sweep_progress model Policy.all_evaluated
-    in
-    Printf.printf "%-14s %6s %6s %9s %6s (%d runs each)
-" "policy" "pass%"
-      "fail%" "shutdown%" "crash%" (match rows with r :: _ -> r.Campaign.runs | [] -> 0);
-    List.iter
-      (fun r ->
-         let f o = 100. *. Campaign.fraction r o in
-         Printf.printf "%-14s %6.1f %6.1f %9.1f %6.1f
-" r.Campaign.row_policy
-           (f Campaign.Pass) (f Campaign.Fail) (f Campaign.Shutdown)
-           (f Campaign.Crash))
-      rows;
-    (match !pool_stats with
-     | Some s -> prerr_endline (Parfan.speedup_line s)
-     | None -> ());
-    0
-  in
-  Cmd.v (Cmd.info "survive" ~doc:"Survivability campaign (Tables II/III).")
-    Term.(const run $ model_arg $ sample_arg $ seed_arg $ jobs_arg)
-
 let disrupt_cmd =
   let bench_arg =
     Arg.(value & pos 0 string "spawn"
@@ -288,8 +262,11 @@ let stress_cmd =
     let failures = ref 0 in
     for i = 0 to count - 1 do
       let wseed = seed + i in
-      let sys = System.build ~seed:wseed (Sysconf.uniform policy) in
-      let halt = System.run sys ~root:(Workgen.generate ~seed:wseed ()) in
+      let _, halt =
+        Runspec.run
+          (described ~seed:wseed ~workload:"workgen" ~faults:[]
+             (Sysconf.uniform policy))
+      in
       let ok = halt = Kernel.H_completed 0 in
       if not ok then begin
         incr failures;
@@ -311,8 +288,10 @@ let stress_cmd =
 let fsck_cmd =
   let run policy seed =
     setup_logs ();
-    let sys = System.build ~seed (Sysconf.uniform policy) in
-    let halt = System.run sys ~root:Testsuite.driver in
+    let sys, halt =
+      Runspec.run
+        (described ~seed ~workload:"suite" ~faults:[] (Sysconf.uniform policy))
+    in
     Printf.printf "suite: %s\n" (Kernel.halt_to_string halt);
     (match Mfs.check_invariants (System.mfs sys) ~bdev:(System.bdev sys) with
      | Ok () ->
@@ -334,10 +313,13 @@ let events_cmd =
   in
   let run policy seed last =
     setup_logs ();
-    let sys = System.build ~seed (Sysconf.uniform policy) in
     let tracer = Tracer.create ~capacity:(max 1 last) () in
-    Tracer.attach tracer (System.kernel sys);
-    let halt = System.run sys ~root:(Workgen.generate ~seed ()) in
+    let _, halt =
+      Runspec.run
+        ~prepare:(fun sys -> Tracer.attach tracer (System.kernel sys))
+        (described ~seed ~workload:"workgen" ~faults:[]
+           (Sysconf.uniform policy))
+    in
     List.iter print_endline (Tracer.timeline tracer);
     Printf.printf "(%d events total; halted: %s)\n" (Tracer.recorded tracer)
       (Kernel.halt_to_string halt);
@@ -349,50 +331,31 @@ let events_cmd =
              log.")
     Term.(const run $ policy_arg $ seed_arg $ last_arg)
 
-(* Shared by trace/report: run the quickstart workload with a collector
-   attached from boot, optionally injecting one crash at the first
-   in-window Reply of the chosen server — deterministically
-   recoverable, so the trace shows a full crash/rollback/restart
-   sequence nested under the request that triggered it. *)
-let server_conv =
-  let parse = function
-    | "none" -> Ok None
-    | "pm" -> Ok (Some Endpoint.pm)
-    | "vfs" -> Ok (Some Endpoint.vfs)
-    | "vm" -> Ok (Some Endpoint.vm)
-    | "ds" -> Ok (Some Endpoint.ds)
-    | "rs" -> Ok (Some Endpoint.rs)
-    | s -> Error (`Msg (Printf.sprintf
-                          "unknown server %S (pm|vfs|vm|ds|rs|none)" s))
-  in
-  let print fmt = function
-    | None -> Format.pp_print_string fmt "none"
-    | Some ep -> Format.pp_print_string fmt (Endpoint.server_name ep)
-  in
-  Arg.conv (parse, print)
+(* trace/report/timeline/profile/health/why/record/load inject
+   deterministic, recoverable crashes: the chosen server fail-stops at
+   its first in-window Replies, so a trace shows a full
+   crash/rollback/restart sequence nested under the request that
+   triggered it. *)
+let crash_name = function None -> "none" | Some ep -> Endpoint.server_name ep
 
 let crash_arg =
-  Arg.(value & opt server_conv (Some Endpoint.ds)
+  let parse s = Result.map_error (fun m -> `Msg m) (Runspec.crash_of_name s) in
+  let print fmt crash = Format.pp_print_string fmt (crash_name crash) in
+  Arg.(value & opt (conv (parse, print)) (Some Endpoint.ds)
        & info [ "crash" ] ~docv:"SERVER"
          ~doc:"Inject one recoverable crash into this server (none to \
                disable).")
 
-(* Deterministic crash injection: the first [count] in-window Replies
-   of [ep] fail-stop, each recoverable under any recovering policy.
-   (Shared with the flight recorder, which re-arms it on replay.) *)
-let arm_crash = Flight.arm_crash
-
-let obs_run ?profiler policy seed crash =
+(* The quickstart workload with a collector attached from boot. *)
+let quickstart_obs ?profiler policy seed crash =
   let metrics = Metrics.create () in
   let collector = Obs_collector.create ~metrics () in
-  let sys =
-    System.build ~seed ~event_hook:(Obs_collector.record collector) ?profiler
-      (Sysconf.uniform policy)
+  let sys, halt =
+    Runspec.run ~event_hook:(Obs_collector.record collector) ?profiler
+      (described ~seed ~workload:"quickstart"
+         ~faults:(crash_faults ~count:1 crash) (Sysconf.uniform policy))
   in
-  let kernel = System.kernel sys in
-  arm_crash kernel crash;
-  let halt = System.run sys ~root:Workgen.quickstart in
-  Obs_collector.snapshot_server_stats metrics kernel;
+  Obs_collector.snapshot_server_stats metrics (System.kernel sys);
   (sys, collector, metrics, halt)
 
 let trace_cmd =
@@ -407,7 +370,9 @@ let trace_cmd =
     (* Sampled profiler: per-phase cycle-rate counter tracks alongside
        the span tracks. *)
     let profiler = Profiler.create ~sample_every:20_000 () in
-    let sys, collector, _metrics, halt = obs_run ~profiler policy seed crash in
+    let _, collector, _metrics, halt =
+      quickstart_obs ~profiler policy seed crash
+    in
     let events = Obs_collector.events collector in
     let spans = Span.build events in
     let counters = Flame.counter_samples profiler in
@@ -428,7 +393,6 @@ let trace_cmd =
       (Obs_collector.count collector)
       (Span.count spans) (List.length interesting)
       (Kernel.halt_to_string halt) json;
-    ignore sys;
     0
   in
   Cmd.v
@@ -440,7 +404,7 @@ let trace_cmd =
 let report_cmd =
   let run policy seed crash =
     setup_logs ();
-    let sys, collector, metrics, halt = obs_run policy seed crash in
+    let sys, collector, metrics, halt = quickstart_obs policy seed crash in
     let spans = Span.build (Obs_collector.events collector) in
     print_endline (Obs_report.render ~metrics ~kernel:(System.kernel sys) spans);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
@@ -462,16 +426,6 @@ let sysconf_conv =
   in
   let print fmt (c : Sysconf.t) = Format.pp_print_string fmt (Sysconf.name c) in
   Arg.conv (parse, print)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Profiler / health commands                                          *)
@@ -536,13 +490,12 @@ let timeline_cmd =
     let metrics = Metrics.create () in
     let collector = Obs_collector.create ~metrics () in
     let ts = Timeseries.create ~interval () in
-    let sys =
-      System.build ~seed ~event_hook:(Obs_collector.record collector)
-        ~telemetry:ts (Sysconf.uniform policy)
+    let sys, halt =
+      Runspec.run ~event_hook:(Obs_collector.record collector) ~telemetry:ts
+        (described ~seed ~workload:"quickstart"
+           ~faults:(crash_faults ~count:1 crash) (Sysconf.uniform policy))
     in
     let kernel = System.kernel sys in
-    arm_crash kernel crash;
-    let halt = System.run sys ~root:Workgen.quickstart in
     Timeseries.publish ts metrics;
     let spans = Span.build (Obs_collector.events collector) in
     (* Request latency = completed top-level request spans, stamped at
@@ -698,7 +651,7 @@ let load_cmd =
       in
       let kernel = System.kernel sys in
       let reqs = Loadgen.inject kernel spec in
-      arm_crash kernel crash;
+      Runspec.arm kernel (crash_faults ~count:1 crash);
       let halt = Kernel.run kernel in
       let o =
         { (Loadgen.collect kernel reqs) with Loadgen.o_spec_rate = rate }
@@ -756,9 +709,7 @@ let load_cmd =
                crash %s (latencies in virtual cycles)"
               requests
               (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
-              (match crash with
-               | Some ep -> Endpoint.server_name ep
-               | None -> "none"))
+              (crash_name crash))
          ~header:
            [ "offered"; "goodput"; "ok"; "shed"; "p50"; "p95"; "p99";
              "p99.9"; "max"; "crashes"; "restarts"; "halt" ]
@@ -772,10 +723,7 @@ let load_cmd =
     Printf.bprintf buf "  \"seed\": %d,\n  \"requests\": %d,\n" seed requests;
     Printf.bprintf buf "  \"arrival\": \"%s\",\n"
       (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty");
-    Printf.bprintf buf "  \"crash\": \"%s\",\n"
-      (match crash with
-       | Some ep -> Endpoint.server_name ep
-       | None -> "none");
+    Printf.bprintf buf "  \"crash\": \"%s\",\n" (crash_name crash);
     Printf.bprintf buf "  \"keys\": %d,\n  \"zipf\": \"%g\",\n" keys zipf;
     let attribution_json att =
       match att with
@@ -990,16 +938,11 @@ let why_cmd =
          | Ok (_header, events) -> Ok [ (Array.to_list events, None) ])
       | None ->
         let specs = if specs = [] then [ policy.Policy.name ] else specs in
-        let crash_name =
-          match crash with
-          | None -> "none"
-          | Some ep -> Endpoint.server_name ep
-        in
         let headers =
           List.map
             (fun s ->
-               Flight.make_header ~arch ~seed ~spec:s ~workload
-                 ~crash:crash_name ~crash_count:count ())
+               Runspec.make_header ~arch ~seed ~spec:s ~workload
+                 ~crash:(crash_name crash) ~crash_count:count ())
             specs
         in
         (match
@@ -1023,7 +966,7 @@ let why_cmd =
                    let c = Obs_collector.create () in
                    let kr = ref None in
                    ignore
-                     (Flight.exec
+                     (Runspec.exec
                         ~prepare:(fun sys ->
                             let k = System.kernel sys in
                             (* Kernel-side charging is the independent
@@ -1230,10 +1173,12 @@ let profile_cmd =
     setup_logs ();
     let conf = conf_of_args policy spec in
     let profiler = Profiler.create () in
-    let sys = System.build ~seed ~profiler conf in
+    let sys, halt =
+      Runspec.run ~profiler
+        (described ~seed ~workload:"quickstart"
+           ~faults:(crash_faults ~count:1 crash) conf)
+    in
     let kernel = System.kernel sys in
-    arm_crash kernel crash;
-    let halt = System.run sys ~root:Workgen.quickstart in
     print_endline (Profiler.report profiler);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
     write_file
@@ -1278,12 +1223,12 @@ let health_cmd =
     let conf = conf_of_args policy spec in
     let profiler = Profiler.create () in
     let watchdog = Health.create () in
-    let sys =
-      System.build ~seed ~event_hook:(Health.observe watchdog) ~profiler conf
+    let sys, halt =
+      Runspec.run ~event_hook:(Health.observe watchdog) ~profiler
+        (described ~seed ~workload:"quickstart"
+           ~faults:(crash_faults ~count:crashes crash) conf)
     in
     let kernel = System.kernel sys in
-    arm_crash ~count:crashes kernel crash;
-    let halt = System.run sys ~root:Workgen.quickstart in
     let comps =
       Health.snapshot ~profiler ~budget_for:(Sysconf.budget_for conf)
         watchdog kernel
@@ -1367,15 +1312,6 @@ let survivability_cmd =
            (f Campaign.Pass) (f Campaign.Fail) (f Campaign.Shutdown)
            (f Campaign.Crash))
       rows;
-    (* Artifact, OSIRIS_BENCH_JSON-style: flag > env > default. *)
-    let path =
-      match json with
-      | Some p -> p
-      | None ->
-        (match Sys.getenv_opt "OSIRIS_SURVIVABILITY_JSON" with
-         | Some p when p <> "" -> p
-         | _ -> "survivability.json")
-    in
     let buf = Buffer.create 1024 in
     Printf.bprintf buf
       "{\n  \"experiment\": \"survivability_matrix\",\n  \"model\": %S,\n\
@@ -1384,17 +1320,17 @@ let survivability_cmd =
     List.iteri
       (fun i r ->
          Printf.bprintf buf
-           "    {\"spec\": \"%s\", \"runs\": %d, \"pass\": %d, \"fail\": %d, \
+           "    {\"spec\": %s, \"runs\": %d, \"pass\": %d, \"fail\": %d, \
             \"shutdown\": %d, \"crash\": %d}%s\n"
-           (json_escape r.Campaign.row_policy) r.Campaign.runs r.Campaign.pass
+           (Chrome_trace.escaped r.Campaign.row_policy) r.Campaign.runs r.Campaign.pass
            r.Campaign.fail r.Campaign.shutdown r.Campaign.crash
            (if i = List.length rows - 1 then "" else ","))
       rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out path in
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "wrote %s\n" path;
+    write_file
+      (out_path ~flag:json ~env:"OSIRIS_SURVIVABILITY_JSON"
+         ~default:"survivability.json")
+      (Buffer.contents buf);
     (* The rollup's deterministic sections are byte-identical at any
        --jobs; the "pool" section (wall-clock worker utilization) is
        the one exception and rides only in this artifact. *)
@@ -1492,6 +1428,13 @@ let load_index ~journal path =
         ipath m;
       None
 
+(* --perturb-cost, shared by record and replay: the header arch's
+   table with one entry off by one. *)
+let perturbed_costs ~perturb header =
+  if perturb then
+    Some (Costs.perturbed (Kernel.costs_of_arch header.Journal.jh_arch))
+  else None
+
 let record_cmd =
   let spec_str_arg =
     Arg.(value & opt (some string) None
@@ -1535,28 +1478,16 @@ let record_cmd =
       journal =
     setup_logs ();
     let spec = match spec with Some s -> s | None -> policy.Policy.name in
-    let crash_name =
-      match crash with None -> "none" | Some ep -> Endpoint.server_name ep
-    in
     let path =
       out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
     in
     match
-      Flight.make_header ~arch ~seed ~spec ~workload ~crash:crash_name
-        ~crash_count:count ()
+      Runspec.make_header ~arch ~seed ~spec ~workload
+        ~crash:(crash_name crash) ~crash_count:count ()
     with
     | Error m -> prerr_endline ("record: " ^ m); 1
     | Ok header ->
-      let costs =
-        if perturb then
-          let base =
-            match header.Journal.jh_arch with
-            | Kernel.Microkernel -> Costs.microkernel
-            | Kernel.Monolithic -> Costs.monolithic
-          in
-          Some { base with Costs.c_reply = base.Costs.c_reply + 1 }
-        else None
-      in
+      let costs = perturbed_costs ~perturb header in
       (match Flight.record ~path ?ring ?costs ~index:(not no_index) header
        with
        | Error m -> prerr_endline ("record: " ^ m); 1
@@ -1608,16 +1539,7 @@ let replay_cmd =
       (match Journal.stream_of_string bytes with
        | Error m -> prerr_endline m; 1
        | Ok (header, st) ->
-         let costs =
-           if perturb then
-             let base =
-               match header.Journal.jh_arch with
-               | Kernel.Microkernel -> Costs.microkernel
-               | Kernel.Monolithic -> Costs.monolithic
-             in
-             Some { base with Costs.c_reply = base.Costs.c_reply + 1 }
-           else None
-         in
+         let costs = perturbed_costs ~perturb header in
          (* Streaming cursor: the journal is never materialized as an
             array. In-record damage ends the stream and is reported as
             a read error (exit 1), not a divergence. *)
@@ -1849,8 +1771,7 @@ let main =
   Cmd.group
     (Cmd.info "osiris" ~version:"1.0.0"
        ~doc:"OSIRIS: compartmentalized OS crash recovery (simulation)")
-    [ suite_cmd; bench_cmd; coverage_cmd; memory_cmd; survive_cmd;
-      survivability_cmd; policies_cmd; disrupt_cmd; sites_cmd; fsck_cmd;
+    [ suite_cmd; bench_cmd; coverage_cmd; memory_cmd; survivability_cmd; policies_cmd; disrupt_cmd; sites_cmd; fsck_cmd;
       stress_cmd; events_cmd; timeline_cmd; load_cmd; why_cmd; trace_cmd;
       report_cmd; profile_cmd; health_cmd; record_cmd; replay_cmd;
       postmortem_cmd; index_cmd; query_cmd; diff_cmd ]

@@ -1,90 +1,3 @@
-let workloads =
-  [ "quickstart", "short fixed IPC exercise (the obs/trace default)";
-    "suite", "the full prototype regression suite driver";
-    "workgen", "seed-derived synthetic workload (Workgen.generate)" ]
-
-let workload ~name ~seed =
-  match name with
-  | "quickstart" -> Ok Workgen.quickstart
-  | "suite" -> Ok Testsuite.driver
-  | "workgen" -> Ok (Workgen.generate ~seed ())
-  | _ ->
-    Error
-      (Printf.sprintf "unknown workload %S (known: %s)" name
-         (String.concat ", " (List.map fst workloads)))
-
-let server_of_name = function
-  | "pm" -> Some Endpoint.pm
-  | "vfs" -> Some Endpoint.vfs
-  | "vm" -> Some Endpoint.vm
-  | "ds" -> Some Endpoint.ds
-  | "rs" -> Some Endpoint.rs
-  | _ -> None
-
-let arm_crash ?(count = 1) kernel = function
-  | None -> ()
-  | Some ep ->
-    let armed = ref count in
-    Kernel.set_fault_hook kernel
-      (Some
-         (fun site ->
-            if !armed > 0
-               && site.Kernel.site_ep = ep
-               && site.Kernel.site_kind = Kernel.Op_reply
-               && Kernel.window_is_open kernel ep
-            then begin
-              decr armed;
-              Some (Kernel.F_crash "injected for tracing")
-            end
-            else None))
-
-let costs_of_arch = function
-  | Kernel.Microkernel -> Costs.microkernel
-  | Kernel.Monolithic -> Costs.monolithic
-
-(* Everything [exec]/[record] need from a header, validated in one
-   place so the two paths cannot drift. *)
-let resolve header =
-  match Sysconf.parse header.Journal.jh_spec with
-  | Error m -> Error (Printf.sprintf "bad spec %S: %s" header.Journal.jh_spec m)
-  | Ok conf ->
-    (match workload ~name:header.Journal.jh_workload
-             ~seed:header.Journal.jh_seed with
-     | Error m -> Error m
-     | Ok root ->
-       if header.Journal.jh_crash = "none" then Ok (conf, root, None)
-       else
-         (match server_of_name header.Journal.jh_crash with
-          | Some ep -> Ok (conf, root, Some ep)
-          | None ->
-            Error
-              (Printf.sprintf "unknown crash server %S"
-                 header.Journal.jh_crash)))
-
-let make_header ?(arch = Kernel.Microkernel) ?(seed = 42) ?(spec = "enhanced")
-    ?(workload = "quickstart") ?(crash = "none") ?(crash_count = 1) () =
-  let header =
-    { Journal.jh_version = Journal.version;
-      jh_seed = seed;
-      jh_arch = arch;
-      jh_spec = spec;
-      jh_workload = workload;
-      jh_crash = crash;
-      jh_crash_count = crash_count;
-      jh_cost_fingerprint = Costs.fingerprint (costs_of_arch arch) }
-  in
-  match resolve header with Ok _ -> Ok header | Error m -> Error m
-
-let run_resolved ?costs ?event_hook ?journal ?prepare header (conf, root, crash)
-    =
-  let sys =
-    System.build ~arch:header.Journal.jh_arch ~seed:header.Journal.jh_seed
-      ?costs ?event_hook ?journal conf
-  in
-  arm_crash ~count:header.Journal.jh_crash_count (System.kernel sys) crash;
-  (match prepare with Some f -> f sys | None -> ());
-  System.run sys ~root
-
 type recording = {
   rec_halt : Kernel.halt;
   rec_records : int;
@@ -108,16 +21,16 @@ let write_sidecar ~path encoded =
   | Error m -> Error m
 
 let record ~path ?ring ?costs ?(index = true) header =
-  match resolve header with
+  match Runspec.of_header header with
   | Error m -> Error m
-  | Ok resolved ->
+  | Ok spec ->
     (match ring with
      | None when index ->
        (* The sidecar builder needs the encoded bytes anyway, so record
           into memory and write the file once rather than streaming to
           disk and reading it straight back. *)
        let w = Journal.to_memory header in
-       let halt = run_resolved ?costs ~journal:w header resolved in
+       let _, halt = Runspec.run ?costs ~journal:w spec in
        Journal.close w;
        let encoded = Journal.contents w in
        (try
@@ -134,7 +47,7 @@ let record ~path ?ring ?costs ?(index = true) header =
         with Sys_error m -> Error m)
      | None ->
        let w = Journal.to_file ~path header in
-       let halt = run_resolved ?costs ~journal:w header resolved in
+       let _, halt = Runspec.run ?costs ~journal:w spec in
        Journal.close w;
        Ok
          { rec_halt = halt;
@@ -145,9 +58,7 @@ let record ~path ?ring ?costs ?(index = true) header =
        let t = Tracer.create ~capacity () in
        Tracer.set_snapshot_on t
          (Some (function Kernel.E_crash _ -> true | _ -> false));
-       let halt =
-         run_resolved ?costs ~event_hook:(Tracer.record t) header resolved
-       in
+       let _, halt = Runspec.run ?costs ~event_hook:(Tracer.record t) spec in
        let snapshots = Tracer.snapshots_taken t in
        (* Spill the crash snapshot — or, with no crash, the final ring
           contents, so the run's tail is preserved either way. *)
@@ -168,22 +79,16 @@ let record ~path ?ring ?costs ?(index = true) header =
                 rec_snapshots = snapshots }
         with Sys_error m -> Error m))
 
-let exec ?prepare header ~hook =
-  match resolve header with
-  | Error m -> invalid_arg ("Flight.exec: " ^ m)
-  | Ok resolved -> run_resolved ~event_hook:hook ?prepare header resolved
-
 let replay_exec ?costs header =
   let table =
     match costs with
     | Some c -> c
-    | None -> costs_of_arch header.Journal.jh_arch
+    | None -> Kernel.costs_of_arch header.Journal.jh_arch
   in
   let exec header ~hook =
-    match resolve header with
+    match Runspec.of_header header with
     | Error m -> invalid_arg ("Flight.replay: " ^ m)
-    | Ok resolved ->
-      run_resolved ~costs:table ~event_hook:hook header resolved
+    | Ok spec -> snd (Runspec.run ~costs:table ~event_hook:hook spec)
   in
   (exec, Costs.fingerprint table)
 
@@ -194,5 +99,3 @@ let replay ?costs header events =
 let replay_stream ?costs header ~next =
   let exec, fingerprint = replay_exec ?costs header in
   Replay.run_stream ~exec ~cost_fingerprint:fingerprint header ~next
-
-let postmortem = Postmortem.analyze

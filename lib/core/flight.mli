@@ -1,48 +1,19 @@
-(** Flight-recorder orchestration: record, replay, postmortem.
+(** Flight recorder: record a described run to a journal, and replay
+    a journal against a fresh execution of its header.
 
     [Journal]/[Replay]/[Postmortem] (in [lib/obs]) are pure codec and
-    analysis modules with no knowledge of the assembled system — this
-    module supplies the missing half: a registry of named workloads, a
-    crash-injection armer, and the [exec] function that rebuilds a
-    system from a journal header and runs it to halt. The [osiris
-    record]/[replay]/[postmortem] subcommands are thin wrappers over
-    these entry points, so tests exercise exactly what the CLI ships.
+    analysis modules with no knowledge of the assembled system; the
+    run itself is a {!Runspec} descriptor, read from the journal header
+    with {!Runspec.of_header} and executed by {!Runspec.run}. This
+    module adds only the observers: the journal writer or last-N ring
+    on record, the stream diff on replay. The [osiris record]/[replay]
+    subcommands are thin wrappers over these entry points, so tests
+    exercise exactly what the CLI ships.
 
     A run is re-executable iff everything that determines it is in the
-    header: seed, arch, system spec, workload {e name} (resolved here,
-    so the name must stay stable), crash-injection spec, and the cost
+    header, which is what {!Runspec.to_header} guarantees: seed, arch,
+    system spec, workload {e name}, crash-injection plan, and the cost
     table fingerprint. *)
-
-val workloads : (string * string) list
-(** Available workload names with one-line descriptions:
-    ["quickstart"], ["suite"], ["workgen"]. *)
-
-val workload : name:string -> seed:int -> (unit Prog.t, string) result
-(** Resolve a header's workload name (["workgen"] is seed-derived). *)
-
-val server_of_name : string -> Endpoint.t option
-(** ["pm"|"vfs"|"vm"|"ds"|"rs"] -> endpoint; anything else [None]. *)
-
-val arm_crash : ?count:int -> Kernel.t -> Endpoint.t option -> unit
-(** Install a fault hook that fail-stop crashes the given server at
-    its first [count] in-window reply sites — the deterministic crash
-    injection used by the tracing/obs commands and recorded in the
-    journal header as [jh_crash]/[jh_crash_count]. *)
-
-val make_header :
-  ?arch:Kernel.arch ->
-  ?seed:int ->
-  ?spec:string ->
-  ?workload:string ->
-  ?crash:string ->
-  ?crash_count:int ->
-  unit ->
-  (Journal.header, string) result
-(** Validate and assemble a journal header (defaults: seed 42,
-    microkernel, ["enhanced"] spec, ["quickstart"] workload, no crash).
-    The cost fingerprint is derived from [arch]'s table. [Error] names
-    the offending field (unknown workload, unparsable spec, unknown
-    crash server). *)
 
 type recording = {
   rec_halt : Kernel.halt;
@@ -73,37 +44,21 @@ val record :
     the perturbed-cost fixture, producing a journal whose events
     diverge from what its header re-executes to. *)
 
-val exec :
-  ?prepare:(System.t -> unit) ->
-  Journal.header -> hook:(Kernel.event -> unit) -> Kernel.halt
-(** Rebuild the system a header describes — spec parsed, [hook]
-    installed from boot, crash injection re-armed — and run its
-    workload to halt. This is the [exec] argument {!Replay.run} wants.
-    [prepare] runs on the built system just before the workload starts
-    — [osiris why] uses it to switch on the kernel's per-request cycle
-    charging, which observes but never perturbs the run.
-    @raise Invalid_argument on a header that fails {!make_header}'s
-    validation (CLI paths validate first). *)
-
 val replay :
   ?costs:Costs.t ->
   Journal.header ->
   Kernel.event array ->
   Replay.outcome
-(** {!Replay.run} over {!exec}, with the replay-side cost table
-    ([costs] overrides the header arch's — the perturbation fixture)
-    threaded both into the rebuilt system and into the outcome's
-    fingerprint check. *)
+(** {!Replay.run} over the header's {!Runspec.run}, with the
+    replay-side cost table ([costs] overrides the header arch's — the
+    perturbation fixture) threaded both into the rebuilt system and
+    into the outcome's fingerprint check. *)
 
 val replay_stream :
   ?costs:Costs.t ->
   Journal.header ->
   next:(unit -> Kernel.event option) ->
   Replay.outcome
-(** {!Replay.run_stream} over {!exec} — the streaming CLI path: feed
-    it a {!Journal.stream_next} cursor and the journal is never
-    materialized as an array. *)
-
-val postmortem : Journal.header -> Kernel.event array -> Postmortem.report
-(** {!Postmortem.analyze} (re-exported so CLI and tests need only
-    [Flight]). *)
+(** {!Replay.run_stream} over the same run as {!replay} — the
+    streaming CLI path: feed it a {!Journal.stream_next} cursor and the
+    journal is never materialized as an array. *)

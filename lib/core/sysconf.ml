@@ -114,7 +114,7 @@ let describe t =
 (* Spec strings, the CLI surface: "default[,server=policy[/budget]]...",
    e.g. "enhanced,ds=stateless,vm=pessimistic/3". *)
 
-let ep_of_server_name n =
+let server_of_name n =
   List.find_opt (fun ep -> Endpoint.server_name ep = n) server_eps
 
 let policy_of_string n =
@@ -163,7 +163,7 @@ let parse spec =
                    | _ ->
                      Error (Printf.sprintf "bad restart budget %S" b) )
              in
-             match (ep_of_server_name server, policy_of_string pol, budget)
+             match (server_of_name server, policy_of_string pol, budget)
              with
              | None, _, _ ->
                Error (Printf.sprintf "unknown server %S" server)

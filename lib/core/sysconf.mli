@@ -53,6 +53,11 @@ val describe : t -> string list
 val server_eps : Endpoint.t list
 (** The seven system servers, boot order. *)
 
+val server_of_name : string -> Endpoint.t option
+(** A system server by its {!Endpoint.server_name} (one of
+    {!server_eps}); [None] for anything else. The one server-name
+    parser: spec strings, crash targets and the CLI all go through it. *)
+
 val policy_of_string : string -> Policy.t option
 (** {!Policy.by_name} extended with on-demand graduated policies
     (["enhanced-grad3"]). *)

@@ -9,21 +9,30 @@ let outcome_name = function
 let core_server_site (s : Kernel.site) =
   List.mem s.Kernel.site_ep System.core_servers
 
-let profile_sites_conf ?(seed = 42) conf =
-  let sys = System.build ~seed conf in
-  let seen = Hashtbl.create 4096 in
-  let order = ref [] in
-  Kernel.set_site_recorder (System.kernel sys)
-    (Some
-       (fun site ->
-          if core_server_site site && not (Hashtbl.mem seen site) then begin
-            Hashtbl.replace seen site ();
-            order := site :: !order
-          end));
-  let (_ : Kernel.halt) = System.run sys ~root:Testsuite.driver in
-  List.rev !order
+(* A fault-free suite run, described like every campaign run. *)
+let suite_run ~seed conf faults =
+  { Runspec.rs_seed = seed;
+    rs_arch = Kernel.Microkernel;
+    rs_conf = conf;
+    rs_workload = "suite";
+    rs_faults = faults }
 
-let profile_sites ?seed policy = profile_sites_conf ?seed (Sysconf.uniform policy)
+let profile_sites ?(seed = 42) policy =
+  let order = ref [] in
+  let record sys =
+    let seen = Hashtbl.create 4096 in
+    Kernel.set_site_recorder (System.kernel sys)
+      (Some
+         (fun site ->
+            if core_server_site site && not (Hashtbl.mem seen site) then begin
+              Hashtbl.replace seen site ();
+              order := site :: !order
+            end))
+  in
+  let (_ : System.t * Kernel.halt) =
+    Runspec.run ~prepare:record (suite_run ~seed (Sysconf.uniform policy) [])
+  in
+  List.rev !order
 
 (* Identity-derived sampling: a site's rank is a hash of its *name*
    (mixed with the selection seed), not its position in the profiled
@@ -68,23 +77,14 @@ let classify halt (results : Testsuite.results) =
     else if results.Testsuite.failed > 0 || status <> 0 then Fail
     else Pass
 
-let run_one_conf ?(seed = 42) conf site action =
-  let sys = System.build ~seed conf in
-  let fired = ref false in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun s ->
-          if (not !fired) && Kernel.compare_site s site = 0 then begin
-            fired := true;
-            Some action
-          end
-          else None));
-  let halt = System.run sys ~root:Testsuite.driver in
-  let results = Testsuite.parse_results (System.log_lines sys) in
-  classify halt results
+(* The one campaign runner: a fresh system runs the suite with the
+   fault plan armed, and the outcome is classified from its log. *)
+let run_faults ~seed conf faults =
+  let sys, halt = Runspec.run (suite_run ~seed conf faults) in
+  (sys, classify halt (Testsuite.parse_results (System.log_lines sys)))
 
-let run_one ?seed policy site action =
-  run_one_conf ?seed (Sysconf.uniform policy) site action
+let run_one_conf ?(seed = 42) conf site action =
+  snd (run_faults ~seed conf [ Runspec.At_site (site, action) ])
 
 (* ---- per-run telemetry summaries ----
 
@@ -127,22 +127,6 @@ let summarize ~spec ~site sys outcome =
     sm_episodes = episodes;
     sm_mttr = h }
 
-let run_one_summary ?(seed = 42) conf site action =
-  let sys = System.build ~seed conf in
-  let fired = ref false in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun s ->
-          if (not !fired) && Kernel.compare_site s site = 0 then begin
-            fired := true;
-            Some action
-          end
-          else None));
-  let halt = System.run sys ~root:Testsuite.driver in
-  let results = Testsuite.parse_results (System.log_lines sys) in
-  summarize ~spec:(Sysconf.name conf) ~site:(Kernel.site_to_string site) sys
-    (classify halt results)
-
 type row = {
   row_policy : string;
   runs : int;
@@ -151,27 +135,6 @@ type row = {
   shutdown : int;
   crash : int;
 }
-
-let run_multi ?(seed = 42) policy faults =
-  let sys = System.build ~seed (Sysconf.uniform policy) in
-  let armed =
-    List.map (fun (site, action) -> (site, action, ref false)) faults
-  in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun s ->
-          let rec find = function
-            | [] -> None
-            | (site, action, fired) :: rest ->
-              if (not !fired) && Kernel.compare_site s site = 0 then begin
-                fired := true;
-                Some action
-              end
-              else find rest
-          in
-          find armed));
-  let halt = System.run sys ~root:Testsuite.driver in
-  classify halt (Testsuite.parse_results (System.log_lines sys))
 
 (* ---- parallel fan-out ----
 
@@ -221,19 +184,21 @@ let survivability_multi ?(seed = 42) ?(sample = 60) ?jobs ?stats ?progress ~k
             else begin
               Hashtbl.replace chosen i ();
               let site = sites.(i) in
-              pick ((site, Edfi.action_for model site) :: acc) (n - 1)
+              pick (Runspec.At_site (site, Edfi.action_for model site) :: acc)
+                (n - 1)
             end
         in
         pick [] (min k (Array.length sites)))
   in
   let tasks =
     List.concat_map
-      (fun policy -> List.map (fun faults -> (policy, faults)) groups)
+      (fun policy ->
+         List.map (fun faults -> (Sysconf.uniform policy, faults)) groups)
       policies
   in
   let outcomes =
     Parfan.map ?jobs ?stats ?progress
-      (fun (policy, faults) -> run_multi ~seed policy faults)
+      (fun (conf, faults) -> snd (run_faults ~seed conf faults))
       tasks
   in
   count_rows ~label:(fun (p : Policy.t) -> p.Policy.name)
@@ -256,32 +221,37 @@ let fraction row outcome =
 
    [sample] defaults to 0 — the full profiled site set, as in the
    paper's 757-site campaigns. The domain pool makes that the normal
-   path; pass a positive [sample] for a quick sampled estimate. *)
-let survivability_matrix ?(seed = 42) ?(sample = 0) ?jobs ?stats ?progress
-    model confs =
+   path; pass a positive [sample] for a quick sampled estimate.
+
+   The plain matrix and the rollup are one sweep: the same site
+   selection, the same spec-major task list, one summary per run. *)
+let matrix_sweep ~seed ~sample ?jobs ?stats ?progress model confs =
   let sites = profile_sites ~seed Policy.enhanced in
   let sites = select_sites ~seed:(seed + 1) ~sample sites in
-  let faults = List.map (fun s -> (s, Edfi.action_for model s)) sites in
   let tasks =
-    List.concat_map
-      (fun conf ->
-         List.map (fun (site, action) -> (conf, site, action)) faults)
+    List.concat_map (fun conf -> List.map (fun site -> (conf, site)) sites)
       confs
   in
-  let outcomes =
+  let summaries =
     Parfan.map ?jobs ?stats ?progress
-      (fun (conf, site, action) -> run_one_conf ~seed conf site action)
+      (fun (conf, site) ->
+         let sys, outcome =
+           run_faults ~seed conf
+             [ Runspec.At_site (site, Edfi.action_for model site) ]
+         in
+         summarize ~spec:(Sysconf.name conf)
+           ~site:(Kernel.site_to_string site) sys outcome)
       tasks
   in
-  count_rows ~label:Sysconf.name ~runs_per_row:(List.length faults) confs
-    outcomes
+  let rows =
+    count_rows ~label:Sysconf.name ~runs_per_row:(List.length sites) confs
+      (List.map (fun s -> s.sm_outcome) summaries)
+  in
+  (rows, summaries)
 
-(* Tables II/III are the uniform diagonal of the matrix: a uniform spec
-   of each evaluation policy (row labels coincide — [Sysconf.uniform p]
-   is named [p.name]). *)
-let survivability ?seed ?sample ?jobs ?stats ?progress model policies =
-  survivability_matrix ?seed ?sample ?jobs ?stats ?progress model
-    (List.map Sysconf.uniform policies)
+let survivability_matrix ?(seed = 42) ?(sample = 0) ?jobs ?stats ?progress
+    model confs =
+  fst (matrix_sweep ~seed ~sample ?jobs ?stats ?progress model confs)
 
 (* ---- campaign rollup ----
 
@@ -373,23 +343,8 @@ let rollup_of_summaries summaries =
 
 let survivability_matrix_rollup ?(seed = 42) ?(sample = 0) ?jobs ?stats
     ?progress model confs =
-  let sites = profile_sites ~seed Policy.enhanced in
-  let sites = select_sites ~seed:(seed + 1) ~sample sites in
-  let faults = List.map (fun s -> (s, Edfi.action_for model s)) sites in
-  let tasks =
-    List.concat_map
-      (fun conf ->
-         List.map (fun (site, action) -> (conf, site, action)) faults)
-      confs
-  in
-  let summaries =
-    Parfan.map ?jobs ?stats ?progress
-      (fun (conf, site, action) -> run_one_summary ~seed conf site action)
-      tasks
-  in
-  let rows =
-    count_rows ~label:Sysconf.name ~runs_per_row:(List.length faults) confs
-      (List.map (fun s -> s.sm_outcome) summaries)
+  let rows, summaries =
+    matrix_sweep ~seed ~sample ?jobs ?stats ?progress model confs
   in
   (rows, rollup_of_summaries summaries)
 

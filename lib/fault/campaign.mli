@@ -6,14 +6,19 @@
       and never-triggered sites are excluded by construction;
     + sites are selected once and the same faults are applied under
       every recovery policy;
-    + each run boots a fresh system, arms exactly one fault, executes
-      the test suite and classifies the outcome:
+    + each run is a {!Runspec} descriptor (the suite workload, one
+      [Runspec.At_site] fault) executed by {!Runspec.run}, and its
+      outcome is classified from the suite's log:
       - [Pass]: suite completed, all tests passed;
       - [Fail]: suite completed, some test failed — the system survived
         with degraded service (often an [E_CRASH] surfacing);
       - [Shutdown]: the recovery protocol performed a controlled
         shutdown;
-      - [Crash]: uncontrolled crash, panic or hang. *)
+      - [Crash]: uncontrolled crash, panic or hang.
+
+    Every entry point below goes through one runner, so a single run,
+    a matrix cell and a multi-fault group differ only in their specs
+    and fault lists. *)
 
 type outcome = Pass | Fail | Shutdown | Crash
 
@@ -23,9 +28,6 @@ val profile_sites : ?seed:int -> Policy.t -> Kernel.site list
 (** Distinct post-boot sites in the five core servers, in first-
     execution order (uniform spec of the policy). *)
 
-val profile_sites_conf : ?seed:int -> Sysconf.t -> Kernel.site list
-(** Same, under an arbitrary (possibly mixed-policy) spec. *)
-
 val select_sites : ?seed:int -> sample:int -> Kernel.site list -> Kernel.site list
 (** Deterministic sample of [sample] sites; pass [sample <= 0] for all
     sites. The selection is derived from site {e identity} (a seeded
@@ -34,12 +36,10 @@ val select_sites : ?seed:int -> sample:int -> Kernel.site list -> Kernel.site li
     displaces an existing selection instead of reshuffling it.
     Selected sites are returned in rank order. *)
 
-val run_one : ?seed:int -> Policy.t -> Kernel.site -> Kernel.fault_action -> outcome
-(** One injection run under a uniform spec of the policy. *)
-
 val run_one_conf :
   ?seed:int -> Sysconf.t -> Kernel.site -> Kernel.fault_action -> outcome
-(** One injection run under an arbitrary spec. *)
+(** One injection run: [action] fires once, at [site]'s first
+    execution. For a uniform spec pass [Sysconf.uniform policy]. *)
 
 type row = {
   row_policy : string;
@@ -52,33 +52,26 @@ type row = {
 
 val fraction : row -> outcome -> float
 
-val survivability :
+val survivability_matrix :
   ?seed:int -> ?sample:int -> ?jobs:int -> ?stats:(Parfan.stats -> unit) ->
   ?progress:(completed:int -> total:int -> unit) ->
-  Edfi.model -> Policy.t list -> row list
+  Edfi.model -> Sysconf.t list -> row list
 (** The full experiment: profile once (under the enhanced policy, whose
     site stream is a superset of each evaluation policy's — asserted by
     the profile-superset test in [test/test_compartment.ml]), select
-    the fault set for the model, and run it under each policy.
+    the fault set for the model, and run it under each spec. Each spec
+    may assign a different policy or restart budget per compartment
+    ("enhanced everywhere except a stateless DS"); rows are labeled
+    with {!Sysconf.name}. Tables II/III are the uniform diagonal: pass
+    [List.map Sysconf.uniform Policy.all_evaluated].
+
     [sample] defaults to 0 — {e every} triggered site, as in the
     paper's campaigns (757 fail-stop, 992 full-EDFI faults) — which is
     affordable because the runs fan out across a {!Parfan} domain pool
     ([jobs] defaults to {!Parfan.default_jobs}; [jobs:1] is the
     sequential oracle and produces byte-identical rows). Pass a
-    positive [sample] for a quick sampled estimate. Equivalent to
-    {!survivability_matrix} over uniform specs — Tables II/III are the
-    matrix's uniform diagonal. *)
-
-val survivability_matrix :
-  ?seed:int -> ?sample:int -> ?jobs:int -> ?stats:(Parfan.stats -> unit) ->
-  ?progress:(completed:int -> total:int -> unit) ->
-  Edfi.model -> Sysconf.t list -> row list
-(** The mixed-policy generalization (FlexOS-style configuration sweep):
-    each spec may assign a different policy or restart budget per
-    compartment ("enhanced everywhere except a stateless DS"). The same
-    profiled fault set is applied under every spec; rows are labeled
-    with {!Sysconf.name}. Runs fan out over the domain pool exactly as
-    in {!survivability}; row counts are independent of [jobs]. *)
+    positive [sample] for a quick sampled estimate. Row counts are
+    independent of [jobs]. *)
 
 (** {1 Telemetry summaries and campaign rollup}
 
@@ -90,25 +83,6 @@ val survivability_matrix :
     [--jobs] (gated in [bench/timeseries_bench.ml]); only the optional
     "pool" section of {!rollup_to_json}, which reports wall-clock
     worker utilization, is allowed to vary. *)
-
-type run_summary = {
-  sm_outcome : outcome;
-  sm_spec : string;                         (** [Sysconf.name]. *)
-  sm_site : string;                         (** Injected site name. *)
-  sm_final_vtime : int;
-  sm_crashes : int;
-  sm_restarts : int;
-  sm_crash_times : int list;                (** Oldest first. *)
-  sm_episodes : (string * int * int) list;
-      (** [(server, crashed_at, recovered_at)], oldest first. *)
-  sm_mttr : Histogram.t;                    (** This run's recovery
-                                                latencies. *)
-}
-
-val run_one_summary :
-  ?seed:int -> Sysconf.t -> Kernel.site -> Kernel.fault_action -> run_summary
-(** {!run_one_conf} returning the run's telemetry summary (the outcome
-    rides in [sm_outcome]). *)
 
 type rollup = {
   ro_runs : int;
@@ -130,32 +104,27 @@ type rollup = {
   ro_max_vtime : int;
 }
 
-val rollup_of_summaries : run_summary list -> rollup
-(** Fold summaries (in submission order) into the campaign rollup. *)
-
 val survivability_matrix_rollup :
   ?seed:int -> ?sample:int -> ?jobs:int -> ?stats:(Parfan.stats -> unit) ->
   ?progress:(completed:int -> total:int -> unit) ->
   Edfi.model -> Sysconf.t list -> row list * rollup
-(** {!survivability_matrix} with the telemetry rollup: the same runs,
-    each additionally summarized; the rows are byte-identical to what
-    {!survivability_matrix} returns for the same arguments. *)
+(** {!survivability_matrix} with the telemetry rollup. Both are one
+    sweep (same site selection, same task list), so the rows are
+    byte-identical to what {!survivability_matrix} returns for the
+    same arguments. *)
 
 val rollup_to_json : ?pool:Parfan.stats -> rollup -> string
 (** Deterministic JSON artifact (fixed field order, sorted servers).
     [pool] appends the wall-clock worker-utilization section — the
     only part that may vary with [--jobs]. *)
 
-val run_multi :
-  ?seed:int -> Policy.t -> (Kernel.site * Kernel.fault_action) list -> outcome
-(** Arm several faults in one run (each fires once, at its site's first
-    execution). Probes the boundary of the paper's single-fault
-    assumption (Section II-E). *)
-
 val survivability_multi :
   ?seed:int -> ?sample:int -> ?jobs:int -> ?stats:(Parfan.stats -> unit) ->
   ?progress:(completed:int -> total:int -> unit) ->
   k:int -> Edfi.model -> Policy.t list -> row list
-(** Like {!survivability} but arming [k] distinct faults per run.
+(** Like {!survivability_matrix} over uniform specs, but arming [k]
+    distinct faults per run, each firing once at its site's first
+    execution. Probes the boundary of the paper's single-fault
+    assumption (Section II-E).
     [sample] here is the number of fault {e groups} per policy
     (default 60), not a site count. *)

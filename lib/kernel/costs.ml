@@ -72,6 +72,8 @@ let fingerprint t =
       t.c_yield; t.c_checkpoint; t.c_disk_block; t.c_instr_op ];
   !h
 
+let perturbed t = { t with c_reply = t.c_reply + 1 }
+
 let scaled_ghz = 2.3
 
 let cycles_to_seconds c = float_of_int c /. (scaled_ghz *. 1e9)

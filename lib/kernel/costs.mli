@@ -50,6 +50,11 @@ val fingerprint : t -> int
     a different cost model — the divergence sanitizer's first line of
     defence. *)
 
+val perturbed : t -> t
+(** [t] with one entry ([c_reply]) off by one cycle: the
+    cost-perturbation fixture. A run under it diverges from a run under
+    [t], and its {!fingerprint} differs. *)
+
 val scaled_ghz : float
 (** Simulated clock rate used to convert cycles to seconds when
     reporting benchmark scores (the paper's testbed ran at 2.3 GHz). *)

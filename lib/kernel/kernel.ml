@@ -4,6 +4,10 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type arch = Microkernel | Monolithic
 
+let costs_of_arch = function
+  | Microkernel -> Costs.microkernel
+  | Monolithic -> Costs.monolithic
+
 type op_kind =
   | Op_compute
   | Op_load
@@ -264,9 +268,7 @@ let default_config ?(arch = Microkernel) ?(seed = 42) ?(policies = []) policy
   { arch;
     policy;
     policies;
-    costs = (match arch with
-        | Microkernel -> Costs.microkernel
-        | Monolithic -> Costs.monolithic);
+    costs = costs_of_arch arch;
     seed;
     max_ops = 400_000_000;
     max_vtime = 2_000_000_000;

@@ -24,6 +24,10 @@
 
 type arch = Microkernel | Monolithic
 
+val costs_of_arch : arch -> Costs.t
+(** The architecture's cost table: {!Costs.microkernel} or
+    {!Costs.monolithic}. *)
+
 (** {1 Fault interface}
 
     The fault library installs hooks; the kernel only defines the

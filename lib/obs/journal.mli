@@ -50,7 +50,7 @@ type header = {
   jh_seed : int;
   jh_arch : Kernel.arch;
   jh_spec : string;           (** [Sysconf.parse]-able system spec. *)
-  jh_workload : string;       (** Workload name ([Flight.workloads]). *)
+  jh_workload : string;       (** Workload name ([Runspec.workloads]). *)
   jh_crash : string;          (** Crash-injection target server, or ["none"]. *)
   jh_crash_count : int;       (** Injected crashes armed at [jh_crash]. *)
   jh_cost_fingerprint : int;  (** {!Costs.fingerprint} of the run's table. *)

@@ -90,18 +90,23 @@ let check_rows label (rows : Campaign.row list) =
 
 let test_survivability_fixtures () =
   let rows =
-    Campaign.survivability ~seed:42 ~sample:6 Edfi.Fail_stop
-      Policy.all_evaluated
+    Campaign.survivability_matrix ~seed:42 ~sample:6 Edfi.Fail_stop
+      (List.map Sysconf.uniform Policy.all_evaluated)
   in
   check_rows "survivability" rows
 
 let test_matrix_uniform_diagonal () =
-  (* survivability_matrix over uniform specs IS survivability. *)
+  (* A uniform spec's row does not depend on the other specs in the
+     sweep: with a mixed spec appended, the uniform diagonal still
+     gives the Tables II/III fixture rows. *)
   let rows =
     Campaign.survivability_matrix ~seed:42 ~sample:6 Edfi.Fail_stop
-      (List.map Sysconf.uniform Policy.all_evaluated)
+      (List.map Sysconf.uniform Policy.all_evaluated
+       @ [ Sysconf.assign (Sysconf.uniform Policy.enhanced) Endpoint.ds
+             Policy.stateless ])
   in
-  check_rows "matrix diagonal" rows
+  Alcotest.(check int) "diagonal plus the mixed row" 5 (List.length rows);
+  check_rows "matrix diagonal" (List.filteri (fun i _ -> i < 4) rows)
 
 (* ---------------- profile-superset assumption --------------------- *)
 

@@ -14,7 +14,7 @@ let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
     ?(crash = "none") ?(count = 1) ~seed () =
   let header =
     match
-      Flight.make_header ~seed ~spec ~workload ~crash ~crash_count:count ()
+      Runspec.make_header ~seed ~spec ~workload ~crash ~crash_count:count ()
     with
     | Ok h -> h
     | Error m -> Alcotest.fail m
@@ -22,7 +22,7 @@ let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
   let c = Obs_collector.create () in
   let kr = ref None in
   ignore
-    (Flight.exec
+    (Runspec.exec
        ~prepare:(fun sys ->
            let k = System.kernel sys in
            Kernel.enable_cycle_counts k;
@@ -70,7 +70,7 @@ let test_conservation_crash_storm () =
     Loadgen.inject k
       { Loadgen.default_spec with l_seed = 7; l_requests = 30; l_rate = 30_000 }
   in
-  Flight.arm_crash k (Some Endpoint.vfs);
+  Runspec.arm k [ Runspec.Crash_replies (Endpoint.vfs, 1) ];
   ignore (Kernel.run k);
   ignore (Loadgen.collect k reqs);
   let r = Critpath.analyze (Obs_collector.events c) in
@@ -98,11 +98,11 @@ let prop_conservation =
   in
   QCheck.Test.make ~name:"conservation over random runs" ~count:15 arb
     (fun (seed, spec, crash, workload) ->
-       match Flight.make_header ~seed ~spec ~workload ~crash () with
+       match Runspec.make_header ~seed ~spec ~workload ~crash () with
        | Error _ -> QCheck.assume_fail ()
        | Ok header ->
          let c = Obs_collector.create () in
-         ignore (Flight.exec header ~hook:(Obs_collector.record c));
+         ignore (Runspec.exec header ~hook:(Obs_collector.record c));
          let r = Critpath.analyze (Obs_collector.events c) in
          List.for_all
            (fun b -> Critpath.breakdown_sum b = Critpath.total b)
@@ -131,7 +131,7 @@ let test_session_spans () =
   Obs_collector.attach c k;
   let spec = { Loadgen.default_spec with l_seed = 11; l_requests = 20 } in
   ignore (Loadgen.inject k spec);
-  Flight.arm_crash k (Some Endpoint.vfs);
+  Runspec.arm k [ Runspec.Crash_replies (Endpoint.vfs, 1) ];
   ignore (Kernel.run k);
   let events = Obs_collector.events c in
   let spans = Span.build events in
@@ -241,7 +241,7 @@ let test_shed_accounting () =
     { Loadgen.default_spec with l_seed = 3; l_requests = 40; l_rate = 60_000 }
   in
   let reqs = Loadgen.inject k spec in
-  Flight.arm_crash k (Some Endpoint.pm);
+  Runspec.arm k [ Runspec.Crash_replies (Endpoint.pm, 1) ];
   ignore (Kernel.run k);
   let o = Loadgen.collect k reqs in
   Alcotest.(check int) "kernel shed counter matches collected outcomes"

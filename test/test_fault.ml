@@ -156,14 +156,14 @@ let test_outcome_names () =
 let test_run_one_benign_site_passes () =
   let sites = Campaign.profile_sites Policy.enhanced in
   let site = List.hd sites in
-  let outcome = Campaign.run_one Policy.enhanced site Kernel.F_benign in
+  let outcome = Campaign.run_one_conf (Sysconf.uniform Policy.enhanced) site Kernel.F_benign in
   Alcotest.(check string) "benign fault passes" "pass"
     (Campaign.outcome_name outcome)
 
 let test_survivability_small () =
   let rows =
-    Campaign.survivability ~sample:8 Edfi.Fail_stop
-      [ Policy.stateless; Policy.enhanced ]
+    Campaign.survivability_matrix ~sample:8 Edfi.Fail_stop
+      (List.map Sysconf.uniform [ Policy.stateless; Policy.enhanced ])
   in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
@@ -232,7 +232,8 @@ let test_machine_check_campaign_classifies () =
      Enhanced recovery restores VFS and the suite runs to completion,
      but the scribbled pipe row already lost data in flight — one
      suite test fails, so the run classifies as a detected failure. *)
-  let outcome = Campaign.run_one Policy.enhanced site Kernel.F_corrupt_store in
+  let outcome = Campaign.run_one_conf (Sysconf.uniform Policy.enhanced) site
+      Kernel.F_corrupt_store in
   Alcotest.(check string) "wild store under enhanced" "fail"
     (Campaign.outcome_name outcome)
 

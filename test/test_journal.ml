@@ -381,7 +381,7 @@ let with_temp_journal f =
     (fun () -> f path)
 
 let seed42_header () =
-  match Flight.make_header ~crash:"ds" () with
+  match Runspec.make_header ~crash:"ds" () with
   | Ok h -> h
   | Error m -> Alcotest.fail ("make_header: " ^ m)
 
@@ -412,7 +412,7 @@ let test_capture_write_identity () =
       let captured = In_channel.with_open_bin path In_channel.input_all in
       let events = ref [] in
       let _halt =
-        Flight.exec header ~hook:(fun ev -> events := ev :: !events)
+        Runspec.exec header ~hook:(fun ev -> events := ev :: !events)
       in
       let written = Journal.of_events header (List.rev !events) in
       Alcotest.(check int) "same size" (String.length captured)
@@ -453,35 +453,21 @@ let test_replay_seed42_identical () =
    must be pinpointed at the exact first divergent record, with its
    rid. The expected index is derived independently by re-running the
    system under the perturbed table and diffing by hand. *)
-let perturbed_costs () =
-  { Costs.microkernel with
-    Costs.c_reply = Costs.microkernel.Costs.c_reply + 1 }
+let perturbed_costs () = Costs.perturbed Costs.microkernel
 
 let test_perturbed_cost_divergence () =
   let _, header, events = Lazy.force seed42_journal in
   let costs = perturbed_costs () in
   (* independent ground truth: collect the perturbed run's stream *)
   let replayed = ref [] in
-  let conf =
-    match Sysconf.parse header.Journal.jh_spec with
-    | Ok c -> c
+  let spec =
+    match Runspec.of_header header with
+    | Ok spec -> spec
     | Error m -> Alcotest.fail m
   in
-  let sys =
-    System.build ~arch:header.Journal.jh_arch ~seed:header.Journal.jh_seed
-      ~costs ~event_hook:(fun ev -> replayed := ev :: !replayed) conf
-  in
-  Flight.arm_crash ~count:header.Journal.jh_crash_count (System.kernel sys)
-    (Some ds);
-  let root =
-    match
-      Flight.workload ~name:header.Journal.jh_workload
-        ~seed:header.Journal.jh_seed
-    with
-    | Ok r -> r
-    | Error m -> Alcotest.fail m
-  in
-  ignore (System.run sys ~root);
+  ignore
+    (Runspec.run ~costs ~event_hook:(fun ev -> replayed := ev :: !replayed)
+       spec);
   let replayed = Array.of_list (List.rev !replayed) in
   let expected_index =
     let n = min (Array.length events) (Array.length replayed) in
@@ -534,14 +520,14 @@ let prop_record_replay_deterministic =
          | _ -> "ds"
        in
        match
-         Flight.make_header ~seed ~spec ~workload:"workgen" ~crash ()
+         Runspec.make_header ~seed ~spec ~workload:"workgen" ~crash ()
        with
        | Error m -> QCheck.Test.fail_report m
        | Ok header ->
          (* in-memory record through the same System.build path the
             file recorder uses *)
          let w = Journal.to_memory header in
-         ignore (Flight.exec header ~hook:(Journal.write w));
+         ignore (Runspec.exec header ~hook:(Journal.write w));
          Journal.close w;
          (match Journal.read_string (Journal.contents w) with
           | Error m -> QCheck.Test.fail_report ("decode: " ^ m)
@@ -575,7 +561,7 @@ let test_ring_mode_crash_snapshot () =
            Alcotest.(check bool) "snapshot ends at the crash" true
              (n > 0 && is_crash events.(n - 1));
            (* and postmortem still works on the partial history *)
-           let report = Flight.postmortem header events in
+           let report = Postmortem.analyze header events in
            Alcotest.(check bool) "journal ends before halt" true
              (report.Postmortem.pm_halt = None);
            Alcotest.(check int) "crash found" 1
@@ -606,7 +592,7 @@ let test_rid_chain () =
 
 let test_postmortem_seed42 () =
   let _, header, events = Lazy.force seed42_journal in
-  let report = Flight.postmortem header events in
+  let report = Postmortem.analyze header events in
   Alcotest.(check int) "exactly the injected crash" 1
     (List.length report.Postmortem.pm_crashes);
   Alcotest.(check bool) "halt recorded" true
@@ -798,7 +784,7 @@ let test_replay_json () =
 
 let test_postmortem_json () =
   let _, header, events = Lazy.force seed42_journal in
-  let report = Flight.postmortem header events in
+  let report = Postmortem.analyze header events in
   Alcotest.(check string) "deterministic bytes" (Postmortem.to_json report)
     (Postmortem.to_json report);
   let root = parse_json "postmortem artifact" (Postmortem.to_json report) in
@@ -826,15 +812,15 @@ let test_postmortem_json () =
 (* ------------------------------------------------------------------ *)
 
 let test_make_header_validation () =
-  (match Flight.make_header ~workload:"no-such-workload" () with
+  (match Runspec.make_header ~workload:"no-such-workload" () with
    | Error m ->
      Alcotest.(check bool) "names the workload" true
        (contains ~needle:"no-such-workload" m)
    | Ok _ -> Alcotest.fail "unknown workload accepted");
-  (match Flight.make_header ~spec:"enhanced,bogus=naive" () with
+  (match Runspec.make_header ~spec:"enhanced,bogus=naive" () with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "bad spec accepted");
-  match Flight.make_header ~crash:"router" () with
+  match Runspec.make_header ~crash:"router" () with
   | Error m ->
     Alcotest.(check bool) "names the crash server" true
       (contains ~needle:"router" m)

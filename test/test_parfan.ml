@@ -121,7 +121,7 @@ let test_concurrent_runs_no_interference () =
     List.map
       (fun site ->
          Campaign.outcome_name
-           (Campaign.run_one Policy.enhanced site
+           (Campaign.run_one_conf (Sysconf.uniform Policy.enhanced) site
               (Edfi.action_for Edfi.Fail_stop site)))
       chosen
   in

@@ -9,27 +9,14 @@
    - the folded flamegraph format and Perfetto counter samples;
    - health: MTTR, success ratio, crash-loop detection. *)
 
-let arm_crash ?(count = 1) kernel ep =
-  let armed = ref count in
-  Kernel.set_fault_hook kernel
-    (Some
-       (fun site ->
-          if !armed > 0
-             && site.Kernel.site_ep = ep
-             && site.Kernel.site_kind = Kernel.Op_reply
-             && Kernel.window_is_open kernel ep
-          then begin
-            decr armed;
-            Some (Kernel.F_crash "injected")
-          end
-          else None))
-
 let run_profiled ?sample_every ?(policy = Policy.enhanced) ?(seed = 42)
     ?crash ?(crashes = 1) ?(root = Workgen.quickstart) ?event_hook () =
   let profiler = Profiler.create ?sample_every () in
   let sys = System.build ~seed ?event_hook ~profiler (Sysconf.uniform policy) in
   let kernel = System.kernel sys in
-  (match crash with None -> () | Some ep -> arm_crash ~count:crashes kernel ep);
+  (match crash with
+   | None -> ()
+   | Some ep -> Runspec.arm kernel [ Runspec.Crash_replies (ep, crashes) ]);
   let halt = System.run sys ~root in
   (profiler, kernel, halt)
 
@@ -170,14 +157,18 @@ let test_counter_samples () =
 let run_health ?(crashes = 1) ?crash () =
   let watchdog = Health.create () in
   let profiler = Profiler.create () in
-  let sys =
-    System.build ~seed:42 ~event_hook:(Health.observe watchdog) ~profiler
-      (Sysconf.uniform Policy.enhanced)
+  let sys, _halt =
+    Runspec.run ~event_hook:(Health.observe watchdog) ~profiler
+      { Runspec.rs_seed = 42;
+        rs_arch = Kernel.Microkernel;
+        rs_conf = Sysconf.uniform Policy.enhanced;
+        rs_workload = "quickstart";
+        rs_faults =
+          (match crash with
+           | None -> []
+           | Some ep -> [ Runspec.Crash_replies (ep, crashes) ]) }
   in
-  let kernel = System.kernel sys in
-  (match crash with None -> () | Some ep -> arm_crash ~count:crashes kernel ep);
-  let _halt = System.run sys ~root:Workgen.quickstart in
-  Health.snapshot ~profiler watchdog kernel
+  Health.snapshot ~profiler watchdog (System.kernel sys)
 
 let comp_of comps ep =
   match List.find_opt (fun c -> c.Health.co_ep = ep) comps with

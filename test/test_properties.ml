@@ -20,7 +20,8 @@ let test_fail_stop_never_crashes_exhaustive () =
   let bad = ref [] in
   List.iter
     (fun site ->
-       match Campaign.run_one Policy.enhanced site (Kernel.F_crash "x") with
+       match Campaign.run_one_conf (Sysconf.uniform Policy.enhanced) site
+               (Kernel.F_crash "x") with
        | Campaign.Crash -> bad := site :: !bad
        | _ -> ())
     sites;
@@ -50,7 +51,7 @@ let prop_any_fault_halts =
        let site = sites.(si mod Array.length sites) in
        let action = actions.(ai mod Array.length actions) in
        let policy = policies.(pi_ mod Array.length policies) in
-       match Campaign.run_one policy site action with
+       match Campaign.run_one_conf (Sysconf.uniform policy) site action with
        | Campaign.Pass | Campaign.Fail | Campaign.Shutdown | Campaign.Crash ->
          true)
 
@@ -61,8 +62,8 @@ let prop_fault_runs_deterministic =
        let sites = Lazy.force all_sites in
        let site = sites.(si mod Array.length sites) in
        let policy = policies.(pi_ mod Array.length policies) in
-       let a = Campaign.run_one policy site (Kernel.F_crash "d") in
-       let b = Campaign.run_one policy site (Kernel.F_crash "d") in
+       let a = Campaign.run_one_conf (Sysconf.uniform policy) site (Kernel.F_crash "d") in
+       let b = Campaign.run_one_conf (Sysconf.uniform policy) site (Kernel.F_crash "d") in
        a = b)
 
 let test_fail_stop_never_crashes_pessimistic () =
@@ -74,7 +75,8 @@ let test_fail_stop_never_crashes_pessimistic () =
   let bad = ref [] in
   List.iter
     (fun site ->
-       match Campaign.run_one Policy.pessimistic site (Kernel.F_crash "x") with
+       match Campaign.run_one_conf (Sysconf.uniform Policy.pessimistic) site
+               (Kernel.F_crash "x") with
        | Campaign.Crash -> bad := site :: !bad
        | _ -> ())
     sites;

@@ -18,12 +18,12 @@ let contains ~needle haystack =
    recorder uses; returns the encoded journal bytes. *)
 let record_bytes header =
   let w = Journal.to_memory header in
-  ignore (Flight.exec header ~hook:(Journal.write w) : Kernel.halt);
+  ignore (Runspec.exec header ~hook:(Journal.write w) : Kernel.halt);
   Journal.close w;
   Journal.contents w
 
 let header_exn ?spec ?workload ?crash ?seed () =
-  match Flight.make_header ?spec ?workload ?crash ?seed () with
+  match Runspec.make_header ?spec ?workload ?crash ?seed () with
   | Ok h -> h
   | Error m -> Alcotest.fail ("make_header: " ^ m)
 
@@ -276,7 +276,7 @@ let prop_indexed_equals_full_scan =
          match seed mod 4 with
          | 0 -> "none" | 1 -> "pm" | 2 -> "vfs" | _ -> "ds"
        in
-       match Flight.make_header ~seed ~spec ~workload:"workgen" ~crash () with
+       match Runspec.make_header ~seed ~spec ~workload:"workgen" ~crash () with
        | Error m -> QCheck.Test.fail_report m
        | Ok header ->
          let bytes = record_bytes header in
@@ -347,30 +347,15 @@ let test_diff_deterministic () =
    the replay fixture does. *)
 let test_diff_structural_divergence () =
   let header, bytes, _ = Lazy.force fixture in
-  let costs =
-    { Costs.microkernel with
-      Costs.c_reply = Costs.microkernel.Costs.c_reply + 1 }
-  in
+  let costs = Costs.perturbed Costs.microkernel in
   let perturbed =
-    let conf =
-      match Sysconf.parse header.Journal.jh_spec with
-      | Ok c -> c
+    let spec =
+      match Runspec.of_header header with
+      | Ok spec -> spec
       | Error m -> Alcotest.fail m
     in
     let w = Journal.to_memory header in
-    let sys =
-      System.build ~arch:header.Journal.jh_arch ~seed:header.Journal.jh_seed
-        ~costs ~journal:w conf
-    in
-    Flight.arm_crash ~count:header.Journal.jh_crash_count (System.kernel sys)
-      (Some vfs);
-    let root =
-      match Flight.workload ~name:header.Journal.jh_workload
-              ~seed:header.Journal.jh_seed with
-      | Ok r -> r
-      | Error m -> Alcotest.fail m
-    in
-    ignore (System.run sys ~root : Kernel.halt);
+    ignore (Runspec.run ~costs ~journal:w spec : System.t * Kernel.halt);
     Journal.close w;
     Journal.contents w
   in
