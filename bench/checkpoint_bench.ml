@@ -1,37 +1,27 @@
 (* Checkpoint hot-path benchmark: arena-backed undo log vs the seed's
    list-based log, write coalescing, and dirty-region restarts.
 
-   Run with [dune exec bench/main.exe checkpoint]. Emits a JSON report
-   (path from OSIRIS_BENCH_JSON, default BENCH_checkpoint.json) and
-   exits non-zero when a regression gate fails, so a small-budget run
-   doubles as a CI smoke test:
-
-     OSIRIS_BENCH_MS      per-measurement wall budget in ms (default 200)
-     OSIRIS_BENCH_JSON    output path (default BENCH_checkpoint.json)
-     OSIRIS_BENCH_MIN_SPEEDUP
-                          minimum arena-vs-legacy record/rollback
-                          speedup before the gate trips (default 1.2 —
-                          deliberately far below the ~3x we measure, to
-                          keep CI stable on loaded machines) *)
+   Run with [dune exec bench/main.exe checkpoint]. Gates:
+     alloc_free_record          10k steady-state records allocate
+                                < 1024 minor words
+     record_speedup,
+     rollback_speedup           the arena beats the legacy list log by
+                                [min_speedup]
+     coalescing_shrinks_log     coalescing a write-hot storm shrinks
+                                the log >= 4x
+     restore_scales_with_dirty  a baseline restore moves only dirty
+                                granules *)
 
 open Harness
 
-let min_speedup () = env_float "OSIRIS_BENCH_MIN_SPEEDUP" ~default:1.2
+(* Deliberately far below the ~3x we measure, to keep CI stable on
+   loaded machines. *)
+let min_speedup = 1.2
 
-(* ns per operation of [batch] (which performs [ops] operations),
-   repeated until the wall budget is spent. *)
-let time_per_op ~ops batch =
-  batch ();
-  (* warm caches, grow arenas *)
-  let budget = budget_ns () in
-  let t0 = now_ns () in
-  let batches = ref 0 in
-  while now_ns () -. t0 < budget do
-    batch ();
-    incr batches
-  done;
-  let elapsed = now_ns () -. t0 in
-  elapsed /. float_of_int (max 1 !batches * ops)
+(* ns per operation of [batch] (which performs [ops] operations): the
+   mean over as many batches as the wall budget allows. *)
+let time_per_op cfg ~ops batch =
+  mean (sample cfg ~min_rounds:0 [ timed batch ]) 0 /. float_of_int ops
 
 (* ------------------------------------------------------------------ *)
 (* The seed's undo log, reproduced: a cons-list of (offset, old bytes)
@@ -88,11 +78,11 @@ type record_result = {
 
 let storm_offsets = 4096 (* distinct 8-byte words in the storm *)
 
-let record_storm () =
+let record_storm cfg =
   let image = Memimage.create ~name:"bench" ~size:(1 lsl 20) in
   let arena = Undo_log.create () in
   let arena_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
+    time_per_op cfg ~ops:storm_offsets (fun () ->
         for i = 0 to storm_offsets - 1 do
           ignore (Undo_log.record arena ~image ~offset:(8 * i) ~len:8)
         done;
@@ -100,7 +90,7 @@ let record_storm () =
   in
   let legacy = Legacy_log.create () in
   let legacy_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
+    time_per_op cfg ~ops:storm_offsets (fun () ->
         for i = 0 to storm_offsets - 1 do
           Legacy_log.record legacy image ~offset:(8 * i) ~len:8
         done;
@@ -108,11 +98,11 @@ let record_storm () =
   in
   { arena_ns; legacy_ns; speedup = legacy_ns /. arena_ns }
 
-let record_rollback_storm () =
+let record_rollback_storm cfg =
   let image = Memimage.create ~name:"bench" ~size:(1 lsl 20) in
   let arena = Undo_log.create () in
   let arena_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
+    time_per_op cfg ~ops:storm_offsets (fun () ->
         for i = 0 to storm_offsets - 1 do
           ignore (Undo_log.record arena ~image ~offset:(8 * i) ~len:8)
         done;
@@ -120,7 +110,7 @@ let record_rollback_storm () =
   in
   let legacy = Legacy_log.create () in
   let legacy_ns =
-    time_per_op ~ops:storm_offsets (fun () ->
+    time_per_op cfg ~ops:storm_offsets (fun () ->
         for i = 0 to storm_offsets - 1 do
           Legacy_log.record legacy image ~offset:(8 * i) ~len:8
         done;
@@ -128,7 +118,7 @@ let record_rollback_storm () =
   in
   { arena_ns; legacy_ns; speedup = legacy_ns /. arena_ns }
 
-let coalesced_storm () =
+let coalesced_storm cfg =
   (* the write-hot case coalescing targets: every word hit 8 times *)
   let image = Memimage.create ~name:"bench" ~size:(1 lsl 20) in
   let hot_words = storm_offsets / 8 in
@@ -144,7 +134,7 @@ let coalesced_storm () =
     n
   in
   let run log =
-    time_per_op ~ops:storm_offsets (fun () ->
+    time_per_op cfg ~ops:storm_offsets (fun () ->
         fill log;
         Undo_log.rollback log image)
   in
@@ -170,10 +160,7 @@ let alloc_per_10k () =
   in
   storm ();
   (* grow arena + table to steady state *)
-  let w0 = Gc.minor_words () in
-  storm ();
-  let w1 = Gc.minor_words () in
-  int_of_float (w1 -. w0)
+  int_of_float (minor_words_of storm)
 
 type restore_result = {
   image_bytes : int;
@@ -185,7 +172,7 @@ type restore_result = {
   restore_speedup : float;
 }
 
-let restore_bench () =
+let restore_bench cfg =
   let size = 1 lsl 20 in
   let image = Memimage.create ~name:"bench" ~size in
   Memimage.set_baseline image;
@@ -198,17 +185,16 @@ let restore_bench () =
   touch ();
   let dirty_granules = Memimage.dirty_granules image in
   let restored_bytes = Memimage.restore_baseline image in
-  let saved0 = Memimage.restore_bytes_saved image in
-  let bytes_saved = saved0 in
+  let bytes_saved = Memimage.restore_bytes_saved image in
   let dirty_ns =
-    time_per_op ~ops:1 (fun () ->
+    time_per_op cfg ~ops:1 (fun () ->
         touch ();
         ignore (Memimage.restore_baseline image))
   in
   (* the pre-dirty-tracking restart path: blit the whole image back *)
   let pristine = Memimage.snapshot image in
   let full_ns =
-    time_per_op ~ops:1 (fun () ->
+    time_per_op cfg ~ops:1 (fun () ->
         touch ();
         Memimage.restore image pristine)
   in
@@ -218,31 +204,18 @@ let restore_bench () =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let run () =
-  Printf.printf
-    "\n================================================================\n\
-     Checkpoint substrate: arena undo log, coalescing, dirty restarts\n\
-     ================================================================\n";
-  let rec_res = record_storm () in
+let run cfg =
+  heading "Checkpoint substrate: arena undo log, coalescing, dirty restarts";
+  let rec_res = record_storm cfg in
   Printf.printf
     "record storm (%d x 8B stores): arena %6.1f ns/op | legacy list %6.1f ns/op | %.2fx\n"
     storm_offsets rec_res.arena_ns rec_res.legacy_ns rec_res.speedup;
-  let rb_res = record_rollback_storm () in
+  let rb_res = record_rollback_storm cfg in
   Printf.printf
     "record+rollback storm:         arena %6.1f ns/op | legacy list %6.1f ns/op | %.2fx\n"
     rb_res.arena_ns rb_res.legacy_ns rb_res.speedup;
   let plain_ns, coalesce_ns, co_speedup, plain_entries, coalesce_entries =
-    coalesced_storm ()
+    coalesced_storm cfg
   in
   Printf.printf
     "write-hot storm (8x per word): plain %6.1f ns/op | coalescing  %6.1f ns/op | %.2fx, log %d -> %d entries\n"
@@ -250,7 +223,7 @@ let run () =
   let minor_words = alloc_per_10k () in
   Printf.printf "steady-state allocation: %d minor words per 10k records\n"
     minor_words;
-  let restore = restore_bench () in
+  let restore = restore_bench cfg in
   Printf.printf
     "dirty-region restart (1 MiB image, %d dirty granules): restored %d B,\n\
     \  saved %d B; full restore %.0f ns vs dirty restore %.0f ns (%.1fx)\n"
@@ -272,83 +245,55 @@ let run () =
            r.Experiment.rb_rollback_bytes r.Experiment.rb_restore_bytes_saved
            r.Experiment.rb_restarts)
       rows;
-    rows
+    List
+      (List.map
+         (fun r ->
+            Obj
+              [ ("server", Str r.Experiment.rb_server);
+                ("image_bytes", Int r.Experiment.rb_image_bytes);
+                ("rollback_bytes", Int r.Experiment.rb_rollback_bytes);
+                ("restore_bytes_saved", Int r.Experiment.rb_restore_bytes_saved);
+                ("restarts", Int r.Experiment.rb_restarts) ])
+         rows)
   in
   let rows = probe "enhanced" Policy.enhanced in
   let rows_stateless = probe "stateless" Policy.stateless in
-  (* ---- gates ---- *)
-  let threshold = min_speedup () in
-  let alloc_ok = minor_words < 1024 in
-  let record_ok = rec_res.speedup >= threshold in
-  let rollback_ok = rb_res.speedup >= threshold in
-  let restore_ok =
-    (* restored bytes must track dirty granules, not image size *)
-    restore.restored_bytes <= restore.dirty_granules * Memimage.granule
-    && restore.restored_bytes * 4 < restore.image_bytes
+  let speedup_fields r =
+    Obj
+      [ ("arena_ns_per_op", Float r.arena_ns);
+        ("legacy_ns_per_op", Float r.legacy_ns);
+        ("speedup", Float r.speedup) ]
   in
-  let coalesce_ok = coalesce_entries * 4 <= plain_entries in
-  let gates =
-    [ ("alloc_free_record", alloc_ok);
-      ("record_speedup", record_ok);
-      ("rollback_speedup", rollback_ok);
-      ("coalescing_shrinks_log", coalesce_ok);
-      ("restore_scales_with_dirty", restore_ok) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 2048 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"checkpoint\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"storm_stores\": %d,\n" storm_offsets;
-  f buf
-    "  \"record\": {\"arena_ns_per_op\": %.2f, \"legacy_ns_per_op\": %.2f, \"speedup\": %.3f},\n"
-    rec_res.arena_ns rec_res.legacy_ns rec_res.speedup;
-  f buf
-    "  \"record_rollback\": {\"arena_ns_per_op\": %.2f, \"legacy_ns_per_op\": %.2f, \"speedup\": %.3f},\n"
-    rb_res.arena_ns rb_res.legacy_ns rb_res.speedup;
-  f buf
-    "  \"coalescing\": {\"plain_ns_per_op\": %.2f, \"coalesce_ns_per_op\": %.2f, \"speedup\": %.3f, \"plain_entries\": %d, \"coalesce_entries\": %d},\n"
-    plain_ns coalesce_ns co_speedup plain_entries coalesce_entries;
-  f buf "  \"minor_words_per_10k_records\": %d,\n" minor_words;
-  f buf
-    "  \"restore\": {\"image_bytes\": %d, \"dirty_granules\": %d, \"granule_bytes\": %d,\n\
-    \    \"restored_bytes\": %d, \"bytes_saved\": %d, \"full_ns\": %.0f, \"dirty_ns\": %.0f,\n\
-    \    \"speedup\": %.3f},\n"
-    restore.image_bytes restore.dirty_granules Memimage.granule
-    restore.restored_bytes restore.bytes_saved restore.full_ns
-    restore.dirty_ns restore.restore_speedup;
-  let emit_rows key rows =
-    f buf "  \"%s\": [\n" key;
-    List.iteri
-      (fun i r ->
-         f buf
-           "    {\"server\": \"%s\", \"image_bytes\": %d, \"rollback_bytes\": %d, \"restore_bytes_saved\": %d, \"restarts\": %d}%s\n"
-           (json_escape r.Experiment.rb_server)
-           r.Experiment.rb_image_bytes r.Experiment.rb_rollback_bytes
-           r.Experiment.rb_restore_bytes_saved r.Experiment.rb_restarts
-           (if i = List.length rows - 1 then "" else ","))
-      rows;
-    f buf "  ],\n"
-  in
-  emit_rows "system_enhanced" rows;
-  emit_rows "system_stateless" rows_stateless;
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map
-          (fun (n, ok) -> Printf.sprintf "\"%s\": %b" n ok)
-          gates));
-  f buf "}\n";
-  let path = json_path "OSIRIS_BENCH_JSON" ~default:"BENCH_checkpoint.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "checkpoint bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  { fields =
+      [ ("storm_stores", Int storm_offsets);
+        ("record", speedup_fields rec_res);
+        ("record_rollback", speedup_fields rb_res);
+        ("coalescing",
+         Obj
+           [ ("plain_ns_per_op", Float plain_ns);
+             ("coalesce_ns_per_op", Float coalesce_ns);
+             ("speedup", Float co_speedup);
+             ("plain_entries", Int plain_entries);
+             ("coalesce_entries", Int coalesce_entries) ]);
+        ("minor_words_per_10k_records", Int minor_words);
+        ("restore",
+         Obj
+           [ ("image_bytes", Int restore.image_bytes);
+             ("dirty_granules", Int restore.dirty_granules);
+             ("granule_bytes", Int Memimage.granule);
+             ("restored_bytes", Int restore.restored_bytes);
+             ("bytes_saved", Int restore.bytes_saved);
+             ("full_ns", Float restore.full_ns);
+             ("dirty_ns", Float restore.dirty_ns);
+             ("speedup", Float restore.restore_speedup) ]);
+        ("system_enhanced", rows);
+        ("system_stateless", rows_stateless) ];
+    gates =
+      [ ("alloc_free_record", minor_words < 1024);
+        ("record_speedup", rec_res.speedup >= min_speedup);
+        ("rollback_speedup", rb_res.speedup >= min_speedup);
+        ("coalescing_shrinks_log", coalesce_entries * 4 <= plain_entries);
+        (* restored bytes must track dirty granules, not image size *)
+        ("restore_scales_with_dirty",
+         restore.restored_bytes <= restore.dirty_granules * Memimage.granule
+         && restore.restored_bytes * 4 < restore.image_bytes) ] }

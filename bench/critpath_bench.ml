@@ -2,22 +2,12 @@
    costs on the kernel's clock-advance path, and whether the
    attribution pipeline keeps its exactness promises.
 
-   Run with [dune exec bench/main.exe critpath]. Emits a JSON report
-   (path from OSIRIS_CRITPATH_BENCH_JSON, default BENCH_critpath.json)
-   and exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS            per-variant wall budget in ms (default 200)
-     OSIRIS_CRITPATH_BENCH_JSON output path (default BENCH_critpath.json)
-     OSIRIS_CRITPATH_MAX_OVERHEAD_PCT
-                                maximum tolerated request-charging
-                                slowdown over cycle counts alone, in
-                                percent (default 3)
-
-   Gates:
+   Run with [dune exec bench/main.exe critpath]. Gates:
      charging_overhead       enabling per-request charging on top of
                              the per-slot cycle counters (the PR-4
-                             profiler substrate) costs <3% wall time
-                             on a workgen run — the charging path is
+                             profiler substrate) costs less than
+                             [max_overhead_pct] wall time on a
+                             workgen run — the charging path is
                              two array reads and one write per clock
                              advance, no hashing, no allocation
      conservation            every analyzed request's buckets sum to
@@ -126,26 +116,28 @@ let blame_rollup ~jobs =
           render_profile (Tailprof.profile r.Critpath.cr_requests))
        blame_specs)
 
-let json_bool b = if b then "true" else "false"
+(* Maximum tolerated request-charging slowdown over cycle counts
+   alone, in percent. Conservation, parity and blame identity are
+   exact at any budget; this gate is relaxed in the smoke run because
+   runtest executes it beside the rest of the suite. *)
+let max_overhead_pct = { strict = 3.; smoke = 25. }
 
-let run () =
-  Printf.printf
-    "\n================================================================\n\
-     Critical-path engine: charging overhead, conservation, parity\n\
-     ================================================================\n";
+let run cfg =
+  heading "Critical-path engine: charging overhead, conservation, parity";
   (* ---- charging overhead ---- *)
-  let best, rounds =
-    best_ns_interleaved
-      [ ("cycle counts", run_counted ~requests:false);
-        ("+ request charging", run_counted ~requests:true) ]
+  let s =
+    sample cfg
+      [ timed (run_counted ~requests:false); timed (run_counted ~requests:true) ]
   in
-  let base_ns = best.(0) and req_ns = best.(1) in
-  let overhead_pct = 100. *. (req_ns -. base_ns) /. base_ns in
+  let base_ns = best s 0 and req_ns = best s 1 in
+  let overhead_pct = pct_over ~base:base_ns req_ns in
+  let overhead_spread = spread_pct s ~base:0 1 in
   Printf.printf
     "workgen run (best of %d interleaved rounds):\n\
     \  cycle counts alone     %.2f ms\n\
-    \  + request charging     %.2f ms (%+.2f%%)\n"
-    rounds (base_ns /. 1e6) (req_ns /. 1e6) overhead_pct;
+    \  + request charging     %.2f ms (%+.2f%%; per-round IQR [%+.1f, %+.1f])\n"
+    s.rounds (base_ns /. 1e6) (req_ns /. 1e6) overhead_pct
+    (fst overhead_spread) (snd overhead_spread);
   (* ---- conservation ---- *)
   let _, events, kernel = collect_events ~spec:"enhanced" ~crash:"ds" in
   let result = Critpath.analyze events in
@@ -194,50 +186,29 @@ let run () =
     (List.length blame_specs)
     (if String.equal b1 b1' then "identical" else "DIFFERS")
     (if String.equal b1 b4 then "identical" else "DIFFERS");
-  (* ---- gates ---- *)
-  let threshold = env_float "OSIRIS_CRITPATH_MAX_OVERHEAD_PCT" ~default:3. in
-  let overhead_ok = overhead_pct < threshold in
-  let gates =
-    [ ("charging_overhead", overhead_ok);
-      ("conservation", event_conserved && kernel_conserved && n_requests > 0);
-      ("journal_parity", parity);
-      ("blame_identity", blame_identical) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"critpath\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf
-    "  \"charging\": {\"cycle_counts_ns\": %.0f, \"request_counts_ns\": \
-     %.0f,\n\
-    \    \"overhead_pct\": %.3f, \"max_overhead_pct\": %.1f},\n"
-    base_ns req_ns overhead_pct threshold;
-  f buf
-    "  \"conservation\": {\"requests\": %d, \"event_exact\": %s, \
-     \"kernel_exact\": %s},\n"
-    n_requests (json_bool event_conserved) (json_bool kernel_conserved);
-  f buf "  \"journal_parity\": %s,\n" (json_bool parity);
-  f buf
-    "  \"blame\": {\"specs\": %d, \"bytes\": %d, \"identical\": %s},\n"
-    (List.length blame_specs) (String.length b1) (json_bool blame_identical);
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path "OSIRIS_CRITPATH_BENCH_JSON" ~default:"BENCH_critpath.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "critpath bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  let threshold = limit cfg max_overhead_pct in
+  { fields =
+      [ ("workload_seed", Int workload_seed);
+        ("charging",
+         Obj
+           [ ("cycle_counts_ns", Float base_ns);
+             ("request_counts_ns", Float req_ns);
+             ("overhead_pct", Float overhead_pct);
+             ("overhead_spread_pct", spread overhead_spread);
+             ("max_overhead_pct", Float threshold) ]);
+        ("conservation",
+         Obj
+           [ ("requests", Int n_requests);
+             ("event_exact", Bool event_conserved);
+             ("kernel_exact", Bool kernel_conserved) ]);
+        ("journal_parity", Bool parity);
+        ("blame",
+         Obj
+           [ ("specs", Int (List.length blame_specs));
+             ("bytes", Int (String.length b1));
+             ("identical", Bool blame_identical) ]) ];
+    gates =
+      [ ("charging_overhead", overhead_pct < threshold);
+        ("conservation", event_conserved && kernel_conserved && n_requests > 0);
+        ("journal_parity", parity);
+        ("blame_identity", blame_identical) ] }

@@ -1,25 +1,15 @@
 (* Flight-recorder benchmark: what journaling the full event stream
    costs, and whether the codec holds its promises.
 
-   Run with [dune exec bench/main.exe journal]. Emits a JSON report
-   (path from OSIRIS_JOURNAL_BENCH_JSON, default BENCH_journal.json)
-   and exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS              per-variant wall budget in ms (default 200)
-     OSIRIS_JOURNAL_BENCH_JSON    output path (default BENCH_journal.json)
-     OSIRIS_JOURNAL_MAX_OVERHEAD_PCT
-                                  maximum tolerated attached-recorder
-                                  slowdown over the unhooked run, in
-                                  percent (default 5 — the ISSUE bound)
-
-   Gates:
+   Run with [dune exec bench/main.exe journal]. Gates:
      encode_zero_alloc   steady-state event capture+encode to a file
                          sink allocates nothing (minor-word delta over
                          130k writes)
      recording_overhead  in-run wall-time overhead of an attached
                          recorder (vs the same run unhooked) stays
-                         under the gate; the close-time encode+flush
-                         sweep is reported separately as finalize
+                         under [max_overhead_pct]; the close-time
+                         encode+flush sweep is reported separately as
+                         finalize
      round_trip          decode(encode(stream)) is structurally equal
                          to the hooked stream, header included
      bytes_per_event     on-disk framing stays compact (< 24 bytes per
@@ -52,38 +42,6 @@ let run_once ?event_hook ?journal ~root () =
   | halt ->
     failwith ("journal bench workload halted: " ^ Kernel.halt_to_string halt)
 
-(* Interleaved best-of, same rationale as obs_bench: round-robin the
-   variants so load drift cannot masquerade as recording overhead.
-   Each variant times itself (returns elapsed ns) so a rung can keep
-   setup and teardown — writer creation, the close-time encode sweep —
-   out of its measured window and account for them separately. The
-   within a round the visiting order is a stride permutation that
-   changes every round, so no variant has a fixed predecessor: a
-   recorder rung allocates (and drops) multi-MB capture buffers, and
-   under a fixed cyclic order that GC debt would be billed to
-   whichever variant always ran next. *)
-let best_ns_interleaved variants =
-  let variants = Array.of_list variants in
-  Array.iter (fun (_, f) -> ignore (f ())) variants;
-  let k = Array.length variants in
-  let best = Array.make k infinity in
-  let budget = float_of_int k *. budget_ns () in
-  let t0 = now_ns () in
-  let rounds = ref 0 in
-  while now_ns () -. t0 < budget || !rounds < 8 do
-    (* any stride in 1..k-1 is coprime with k when k is prime (it is:
-       5 rungs); offset by the round so the starting slot moves too *)
-    let stride = 1 + (!rounds mod (k - 1)) in
-    for j = 0 to k - 1 do
-      let i = ((j * stride) + !rounds) mod k in
-      let _, f = variants.(i) in
-      let d = f () in
-      if d < best.(i) then best.(i) <- d
-    done;
-    incr rounds
-  done;
-  (best, !rounds)
-
 (* ------------------------------------------------------------------ *)
 
 (* One synthetic event per constructor — every encoder path is in the
@@ -110,7 +68,7 @@ let sample_events =
     Kernel.E_restart { time = 11; ep = Endpoint.ds; rid = 13; policy = "enhanced" };
     Kernel.E_halt { time = 12; halt = Kernel.H_completed 0 } ]
 
-let encode_alloc_probe () =
+let encode_alloc_probe cfg =
   let path = Filename.temp_file "osiris_journal" ".bin" in
   let w = Journal.to_file ~path (header ~workload:"suite" ~crash:"none") in
   let reps = 10_000 in
@@ -125,17 +83,11 @@ let encode_alloc_probe () =
   storm ();
   (* warm: scratch grown to its steady size *)
   let words = minor_words_of storm in
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = now_ns () in
-    storm ();
-    let d = now_ns () -. t0 in
-    if d < !best then best := d
-  done;
+  let s = sample cfg ~budget_scale:0. ~min_rounds:5 [ timed storm ] in
   Journal.close w;
   Sys.remove path;
   let n = reps * List.length sample_events in
-  (n, words, !best /. float_of_int n)
+  (n, words, best s 0 /. float_of_int n)
 
 (* The kernel has one capture, so the hooked stream to compare against
    comes from a second run of the same deterministic workload. *)
@@ -163,15 +115,16 @@ let round_trip_probe () =
   | Error m -> failwith ("round trip decode failed: " ^ m)
   | Ok (h', decoded) -> (h = h' && decoded = recorded, records, bytes)
 
-let json_bool b = if b then "true" else "false"
+(* Maximum tolerated attached-recorder slowdown over the unhooked run,
+   in percent. The allocation, round-trip and framing gates are exact
+   at any budget; this one is relaxed in the smoke run because runtest
+   executes it beside the rest of the suite. *)
+let max_overhead_pct = { strict = 5.; smoke = 25. }
 
-let run () =
-  Printf.printf
-    "\n================================================================\n\
-     Flight recorder: journal encode cost, overhead, and fidelity\n\
-     ================================================================\n";
+let run cfg =
+  heading "Flight recorder: journal encode cost, overhead, and fidelity";
   (* ---- allocation ---- *)
-  let encode_ops, encode_words, encode_ns = encode_alloc_probe () in
+  let encode_ops, encode_words, encode_ns = encode_alloc_probe cfg in
   Printf.printf
     "encode storm: %d events -> %.0f minor words allocated, %.0f ns/event\n"
     encode_ops encode_words encode_ns;
@@ -202,11 +155,6 @@ let run () =
      gated; the suite-driver pair prices the worst case and is
      likewise reported, not gated. *)
   let fin_wg = ref infinity and fin_suite = ref infinity in
-  let timed f =
-    let t0 = now_ns () in
-    f ();
-    now_ns () -. t0
-  in
   (* Generated once, shared by every rung and round: programs are pure
      values, and generation time is not recording overhead. Scaled to
      5x the default action count so the rung runs long enough (~13 ms)
@@ -218,28 +166,26 @@ let run () =
   in
   let recording_rung h root fin () =
     let w = Journal.to_file ~path h in
-    let d = timed (fun () -> run_once ~journal:w ~root ()) in
-    let f = timed (fun () -> Journal.close w) in
+    let (), d = time (fun () -> run_once ~journal:w ~root ()) in
+    let (), f = time (fun () -> Journal.close w) in
     if f < !fin then fin := f;
     d
   in
-  let best, rounds =
-    best_ns_interleaved
-      [ ("wg unhooked", fun () -> timed (fun () -> run_once ~root:wg_prog ()));
-        ("wg noop hook",
-         fun () -> timed (fun () -> run_once ~event_hook:ignore ~root:wg_prog ()));
-        ("wg recording", fun () -> recording_rung h_wg wg_prog fin_wg ());
-        ("suite unhooked",
-         fun () -> timed (fun () -> run_once ~root:Testsuite.driver ()));
-        ("suite recording",
-         fun () -> recording_rung h_suite Testsuite.driver fin_suite ()) ]
+  let s =
+    sample cfg
+      [ timed (fun () -> run_once ~root:wg_prog ());
+        timed (fun () -> run_once ~event_hook:ignore ~root:wg_prog ());
+        recording_rung h_wg wg_prog fin_wg;
+        timed (fun () -> run_once ~root:Testsuite.driver ());
+        recording_rung h_suite Testsuite.driver fin_suite ]
   in
   Sys.remove path;
-  let base_ns = best.(0) and hook_ns = best.(1) and journal_ns = best.(2) in
-  let sbase_ns = best.(3) and sjournal_ns = best.(4) in
-  let raw_pct = 100. *. (journal_ns -. base_ns) /. base_ns in
-  let marginal_pct = 100. *. (journal_ns -. hook_ns) /. hook_ns in
-  let stress_pct = 100. *. (sjournal_ns -. sbase_ns) /. sbase_ns in
+  let base_ns = best s 0 and hook_ns = best s 1 and journal_ns = best s 2 in
+  let sbase_ns = best s 3 and sjournal_ns = best s 4 in
+  let raw_pct = pct_over ~base:base_ns journal_ns in
+  let marginal_pct = pct_over ~base:hook_ns journal_ns in
+  let stress_pct = pct_over ~base:sbase_ns sjournal_ns in
+  let overhead_spread = spread_pct s ~base:0 2 in
   (* ~28k events in the suite run: per-event in-run capture cost. *)
   let stress_ns_per_event = (sjournal_ns -. sbase_ns) /. 28_000. in
   Printf.printf
@@ -247,73 +193,57 @@ let run () =
     \  workgen unhooked           %.2f ms\n\
     \  workgen no-op hook         %.2f ms (%+.2f%% construction+dispatch)\n\
     \  workgen recording attached %.2f ms (%+.2f%% vs unhooked) <- gate\n\
+    \    per-round IQR [%+.1f, %+.1f]\n\
     \  workgen finalize (close)   %.2f ms encode+flush sweep after the run\n\
      stress (IPC-dense suite driver, ~1.4 events/us — reported, not gated):\n\
     \  unhooked %.2f ms, recording %.2f ms (%+.2f%%, ~%.0f ns/event\n\
     \  in-run capture), finalize %.2f ms\n"
-    rounds (base_ns /. 1e6) (hook_ns /. 1e6)
-    (100. *. (hook_ns -. base_ns) /. base_ns)
-    (journal_ns /. 1e6) raw_pct (!fin_wg /. 1e6)
+    s.rounds (base_ns /. 1e6) (hook_ns /. 1e6)
+    (pct_over ~base:base_ns hook_ns)
+    (journal_ns /. 1e6) raw_pct (fst overhead_spread) (snd overhead_spread)
+    (!fin_wg /. 1e6)
     (sbase_ns /. 1e6) (sjournal_ns /. 1e6) stress_pct stress_ns_per_event
     (!fin_suite /. 1e6);
-  (* ---- gates ---- *)
-  let threshold = env_float "OSIRIS_JOURNAL_MAX_OVERHEAD_PCT" ~default:5. in
-  let overhead_pct = raw_pct in
-  (* 64-word slack: Gc.minor_words itself may box a float; the 130k
-     event writes themselves must add nothing. *)
-  let encode_ok = encode_words < 64. in
-  let overhead_ok = overhead_pct < threshold in
-  let bytes_ok = bytes_per_event < 24. in
-  let gates =
-    [ ("encode_zero_alloc", encode_ok);
-      ("recording_overhead", overhead_ok);
-      ("round_trip", fidelity_ok);
-      ("bytes_per_event", bytes_ok) ]
-  in
-  (* ---- JSON report ---- *)
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"journal\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf "  \"encode_storm\": {\"events\": %d, \"minor_words\": %.0f},\n"
-    encode_ops encode_words;
-  f buf
-    "  \"journal\": {\"records\": %d, \"bytes\": %d, \"bytes_per_event\": %.2f,\n\
-    \    \"bytes_per_1M_events\": %.0f},\n"
-    rt_records rt_bytes bytes_per_event (bytes_per_event *. 1e6);
-  f buf
-    "  \"wall\": {\"unhooked_ns\": %.0f, \"hook_ns\": %.0f, \"journal_ns\": %.0f,\n\
-    \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
-    \    \"overhead_vs_hook_pct\": %.3f, \"max_overhead_pct\": %.1f},\n"
-    base_ns hook_ns journal_ns !fin_wg overhead_pct marginal_pct threshold;
-  f buf
-    "  \"stress\": {\"unhooked_ns\": %.0f, \"journal_ns\": %.0f,\n\
-    \    \"finalize_ns\": %.0f, \"overhead_pct\": %.3f,\n\
-    \    \"ns_per_event\": %.1f},\n"
-    sbase_ns sjournal_ns !fin_suite stress_pct stress_ns_per_event;
-  (* The stress overhead (~11% on the reference host) is an un-gated
-     trend figure from a wall-clock ratio on the densest event stream
-     we can produce — inherently noisy run to run. Declare a wide
-     per-path tolerance so bench_diff surfaces only real regressions
-     instead of flapping on every CI host wobble. *)
-  f buf "  \"tolerances\": {\"stress.overhead_pct\": 50.0},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let p = json_path "OSIRIS_JOURNAL_BENCH_JSON" ~default:"BENCH_journal.json" in
-  let oc = open_out p in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" p;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "journal bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  let threshold = limit cfg max_overhead_pct in
+  { fields =
+      [ ("workload_seed", Int workload_seed);
+        ("encode_storm",
+         Obj [ ("events", Int encode_ops); ("minor_words", Float encode_words) ]);
+        ("journal",
+         Obj
+           [ ("records", Int rt_records);
+             ("bytes", Int rt_bytes);
+             ("bytes_per_event", Float bytes_per_event);
+             ("bytes_per_1M_events", Float (bytes_per_event *. 1e6)) ]);
+        ("wall",
+         Obj
+           [ ("unhooked_ns", Float base_ns);
+             ("hook_ns", Float hook_ns);
+             ("journal_ns", Float journal_ns);
+             ("finalize_ns", Float !fin_wg);
+             ("overhead_pct", Float raw_pct);
+             ("overhead_spread_pct", spread overhead_spread);
+             ("overhead_vs_hook_pct", Float marginal_pct);
+             ("overhead_vs_hook_spread_pct", spread (spread_pct s ~base:1 2));
+             ("max_overhead_pct", Float threshold) ]);
+        ("stress",
+         Obj
+           [ ("unhooked_ns", Float sbase_ns);
+             ("journal_ns", Float sjournal_ns);
+             ("finalize_ns", Float !fin_suite);
+             ("overhead_pct", Float stress_pct);
+             ("overhead_spread_pct", spread (spread_pct s ~base:3 4));
+             ("ns_per_event", Float stress_ns_per_event) ]);
+        (* The stress overhead (~11% on the reference host) is an
+           un-gated trend figure from a wall-clock ratio on the densest
+           event stream we can produce — inherently noisy run to run.
+           A wide per-path tolerance lets bench_diff surface only real
+           regressions instead of flapping on every host wobble. *)
+        ("tolerances", Obj [ ("stress.overhead_pct", Float 50.) ]) ];
+    gates =
+      [ (* 64-word slack: Gc.minor_words itself may box a float; the
+           130k event writes themselves must add nothing. *)
+        ("encode_zero_alloc", encode_words < 64.);
+        ("recording_overhead", raw_pct < threshold);
+        ("round_trip", fidelity_ok);
+        ("bytes_per_event", bytes_per_event < 24.) ] }

@@ -1,25 +1,20 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section VI).
+(* The evaluation entry point: regenerates every table and figure of the
+   paper's evaluation (Section VI) and runs the layer benches.
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe table1     -- one experiment
-     (table1 table2 table3 table4 table5 table6 fig3 rcb ablation micro)
+     dune exec bench/main.exe                 -- everything
+     dune exec bench/main.exe table1 obs      -- named experiments
+     dune exec bench/main.exe -- --smoke      -- every layer bench, smoke run
 
-   Sample sizes for the fault-injection campaigns come from the
-   OSIRIS_SAMPLE environment variable (default 0 = every triggered
-   site, as in the paper; set a positive count for a quick subsample).
-   Campaigns fan out over the Parfan domain pool — OSIRIS_JOBS picks
-   the worker count. *)
+   Knobs (read once by [Harness.config]; a malformed value exits 2):
+   OSIRIS_BENCH_MS, the per-variant wall budget of the layer benches
+   (default 200), and OSIRIS_SAMPLE, the fault sites per policy of the
+   injection campaigns (default 0 = every triggered site, as in the
+   paper). Campaigns fan out over the Parfan domain pool — OSIRIS_JOBS
+   picks the worker count. Every requested experiment runs even after
+   one fails; the exit status is 1 when any layer-bench gate failed or
+   a bench raised. *)
 
-let sample_size () =
-  match Sys.getenv_opt "OSIRIS_SAMPLE" with
-  | Some s -> (try int_of_string s with _ -> 0)
-  | None -> 0
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
+let heading = Harness.heading
 
 let pct x = Printf.sprintf "%.1f" (100. *. x)
 
@@ -101,9 +96,8 @@ let paper_table3 =
   [ ("stateless", (47.8, 10.5, 0.0, 41.7)); ("naive", (48.5, 11.9, 0.0, 39.6));
     ("pessimistic", (47.3, 10.5, 38.2, 4.0)); ("enhanced", (50.4, 12.0, 32.9, 4.8)) ]
 
-let survivability_table title model paper =
+let survivability_table title model paper sample =
   heading title;
-  let sample = sample_size () in
   (if sample = 0 then
      Printf.printf
        "(all triggered fault sites per policy; set OSIRIS_SAMPLE to subsample)\n"
@@ -131,15 +125,15 @@ let survivability_table title model paper =
        ~align:[ Osiris_util.Tablefmt.Left ]
        (List.map render_row rows))
 
-let table2 () =
+let table2 sample =
   survivability_table
     "Table II: survivability under fail-stop fault injection" Edfi.Fail_stop
-    paper_table2
+    paper_table2 sample
 
-let table3 () =
+let table3 sample =
   survivability_table
     "Table III: survivability under full-EDFI fault injection"
-    Edfi.Full_edfi paper_table3
+    Edfi.Full_edfi paper_table3 sample
 
 (* ------------------------------------------------------------------ *)
 (* Table IV - baseline vs "Linux" (monolithic cost model)              *)
@@ -663,28 +657,45 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let all_experiments =
-  [ ("table1", table1); ("table2", table2); ("table3", table3);
-    ("table4", table4); ("table5", table5); ("table6", table6);
-    ("fig3", fig3); ("rcb", rcb); ("ablation", ablation); ("micro", micro);
-    ("checkpoint", Checkpoint_bench.run); ("obs", Obs_bench.run);
+let tables sample =
+  [ ("table1", table1); ("table2", fun () -> table2 sample);
+    ("table3", fun () -> table3 sample); ("table4", table4);
+    ("table5", table5); ("table6", table6); ("fig3", fig3); ("rcb", rcb);
+    ("ablation", ablation); ("micro", micro) ]
+
+let benches =
+  [ ("checkpoint", Checkpoint_bench.run); ("obs", Obs_bench.run);
     ("matrix", Matrix_bench.run); ("profiler", Profiler_bench.run);
     ("journal", Journal_bench.run); ("parfan", Parfan_bench.run);
     ("timeseries", Timeseries_bench.run); ("sched", Sched_bench.run);
     ("critpath", Critpath_bench.run); ("query", Query_bench.run) ]
 
 let () =
-  let requested =
-    match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as args) -> args
-    | _ -> List.map fst all_experiments
+  let args = List.tl (Array.to_list Sys.argv) in
+  let smoke = List.mem "--smoke" args in
+  let cfg = Harness.config ~smoke in
+  let experiments =
+    List.map (fun (name, f) -> (name, fun () -> f (); true)) (tables cfg.sample)
+    @ List.map
+        (fun (name, run) -> (name, fun () -> Harness.run_bench cfg name run))
+        benches
   in
-  List.iter
-    (fun name ->
-       match List.assoc_opt name all_experiments with
-       | Some f -> f ()
-       | None ->
-         Printf.eprintf "unknown experiment %S (available: %s)\n" name
-           (String.concat ", " (List.map fst all_experiments));
-         exit 2)
-    requested
+  let requested =
+    match List.filter (( <> ) "--smoke") args with
+    | [] when smoke -> List.map fst benches
+    | [] -> List.map fst experiments
+    | names -> names
+  in
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) requested with
+   | [] -> ()
+   | unknown ->
+     Printf.eprintf "unknown experiment(s) %s (available: %s)\n"
+       (String.concat ", " unknown)
+       (String.concat ", " (List.map fst experiments));
+     exit 2);
+  let ok =
+    List.fold_left
+      (fun ok name -> (List.assoc name experiments) () && ok)
+      true requested
+  in
+  if not ok then exit 1

@@ -16,51 +16,25 @@
    4 domains; on a throttled box the gate still catches a serialized
    pool without failing on physics.
 
-   Run with [dune exec bench/main.exe parfan]. Emits a JSON report
-   (path from OSIRIS_PARFAN_BENCH_JSON, default BENCH_parfan.json) and
-   exits non-zero when a gate fails:
-
-     OSIRIS_SAMPLE                fault sites per policy (default 0 = all,
-                                  the full-sweep default)
-     OSIRIS_PARFAN_JOBS           pool width under test (default 4)
-     OSIRIS_PARFAN_MIN_SPEEDUP    absolute speedup target (default 3)
-     OSIRIS_PARFAN_EFFICIENCY     fraction of the calibrated ideal the
-                                  pool must reach (default 0.7)
-     OSIRIS_PARFAN_BENCH_JSON     output path (default BENCH_parfan.json)
-
-   Gates:
+   Run with [dune exec bench/main.exe parfan]; the campaign samples
+   OSIRIS_SAMPLE sites per policy (the smoke run: 6). Gates:
      parfan_identical   jobs:1 and jobs:N produce structurally
                         byte-identical campaign rows (Marshal equality)
      parfan_isolation   per-run kernel counters are identical whether a
                         run executes alone or beside concurrent domains
-     parfan_speedup     campaign speedup >= min(MIN_SPEEDUP,
-                        EFFICIENCY x calibrated ideal scaling) *)
+     parfan_speedup     campaign speedup >= min([min_speedup],
+                        [efficiency] x calibrated ideal scaling) *)
 
 open Harness
 
-let sample_size () =
-  match Sys.getenv_opt "OSIRIS_SAMPLE" with
-  | Some s -> (try int_of_string s with _ -> 0)
-  | None -> 0
+(* Pool width under test. *)
+let jobs = 4
 
-let pool_jobs () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_JOBS" with
-  | Some s -> (try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
+(* Absolute speedup target: the paper-style >= 3x at 4 domains. *)
+let min_speedup = 3.
 
-let min_speedup () = env_float "OSIRIS_PARFAN_MIN_SPEEDUP" ~default:3.
-
-let efficiency () =
-  match Sys.getenv_opt "OSIRIS_PARFAN_EFFICIENCY" with
-  | Some s -> (try float_of_string s with _ -> 0.7)
-  | None -> 0.7
-
-let time f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, now_ns () -. t0)
-
-let json_bool b = if b then "true" else "false"
+(* Fraction of the calibrated ideal scaling the pool must reach. *)
+let efficiency = 0.7
 
 (* ---- calibration: the host's ideal domain scaling ----------------- *)
 
@@ -117,13 +91,9 @@ let counter_probe () =
            s.Kernel.ss_window_opens, s.Kernel.ss_restarts ))
       System.core_servers )
 
-let run () =
-  Printf.printf
-    "\n================================================================\n\
-     Parfan: parallel survivability campaign vs the sequential oracle\n\
-     ================================================================\n";
-  let sample = sample_size () in
-  let jobs = pool_jobs () in
+let run cfg =
+  heading "Parfan: parallel survivability campaign vs the sequential oracle";
+  let sample = cfg.sample in
   let seed = 42 in
   (* ---- isolation ---- *)
   let alone = counter_probe () in
@@ -164,73 +134,64 @@ let run () =
     (if identical then "byte-identical to the oracle" else "DIVERGED");
   (* ---- calibrated speedup gate ---- *)
   let cal_seq_ns, cal_par_ns, calib = calibrate jobs in
-  let threshold = Float.min (min_speedup ()) (efficiency () *. calib) in
+  let threshold = Float.min min_speedup (efficiency *. calib) in
   let speedup_ok = speedup >= threshold in
   Printf.printf
     "calibration (raw domains, %d-way static partition): %.2fx ideal\n\
     \  gate: speedup %.2fx >= min(%.1f, %.2f x %.2f) = %.2fx -> %s\n"
-    jobs calib speedup (min_speedup ()) (efficiency ()) calib threshold
+    jobs calib speedup min_speedup efficiency calib threshold
     (if speedup_ok then "ok" else "FAILED");
-  (* ---- gates + JSON ---- *)
-  let gates =
-    [ ("parfan_identical", identical);
-      ("parfan_isolation", isolation);
-      ("parfan_speedup", speedup_ok) ]
+  let pool =
+    match !pool_stats with
+    | None -> []
+    | Some s ->
+      [ ("pool",
+         Obj
+           [ ("tasks", Int s.Parfan.pf_tasks);
+             ("runs_per_sec", Float (Parfan.runs_per_sec s));
+             ("imbalance_pct", Float (Parfan.imbalance_pct s));
+             ("workers",
+              List
+                (Array.to_list
+                   (Array.map
+                      (fun w ->
+                         Obj
+                           [ ("tasks", Int w.Parfan.w_tasks);
+                             ("busy_ms", Float (w.Parfan.w_busy_ns /. 1e6)) ])
+                      s.Parfan.pf_workers))) ]) ]
   in
-  let buf = Buffer.create 2048 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"parfan\",\n";
-  f buf "  \"seed\": %d,\n" seed;
-  f buf "  \"sample\": %d,\n" sample;
-  f buf "  \"jobs\": %d,\n" jobs;
-  f buf "  \"runs\": %d,\n" n_runs;
-  f buf
-    "  \"wall\": {\"seq_ns\": %.0f, \"par_ns\": %.0f, \"speedup\": %.3f},\n"
-    seq_ns par_ns speedup;
-  f buf
-    "  \"calibration\": {\"seq_ns\": %.0f, \"par_ns\": %.0f, \
-     \"ideal\": %.3f,\n    \"efficiency\": %.2f, \"min_speedup\": %.1f, \
-     \"threshold\": %.3f},\n"
-    cal_seq_ns cal_par_ns calib (efficiency ()) (min_speedup ()) threshold;
-  (match !pool_stats with
-   | Some s ->
-     f buf
-       "  \"pool\": {\"tasks\": %d, \"runs_per_sec\": %.1f, \
-        \"imbalance_pct\": %.1f,\n    \"workers\": [%s]},\n"
-       s.Parfan.pf_tasks (Parfan.runs_per_sec s) (Parfan.imbalance_pct s)
-       (String.concat ", "
-          (Array.to_list
-             (Array.map
-                (fun w ->
-                   Printf.sprintf "{\"tasks\": %d, \"busy_ms\": %.1f}"
-                     w.Parfan.w_tasks (w.Parfan.w_busy_ns /. 1e6))
-                s.Parfan.pf_workers)))
-   | None -> ());
-  (* Wall times, throughput and host scaling swing with the machine;
-     bench_diff reads these per-path tolerances from the baseline so
-     only real structural drift is flagged. *)
-  f buf
-    "  \"tolerances\": {\"wall.seq_ns\": 300, \"wall.par_ns\": 300,\n\
-    \    \"wall.speedup\": 700, \"calibration.seq_ns\": 300,\n\
-    \    \"calibration.par_ns\": 300, \"calibration.ideal\": 700,\n\
-    \    \"calibration.threshold\": 700, \"pool.runs_per_sec\": 700,\n\
-    \    \"pool.imbalance_pct\": 200},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let path = json_path "OSIRIS_PARFAN_BENCH_JSON" ~default:"BENCH_parfan.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "parfan bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  { fields =
+      [ ("seed", Int seed);
+        ("sample", Int sample);
+        ("jobs", Int jobs);
+        ("runs", Int n_runs);
+        ("wall",
+         Obj
+           [ ("seq_ns", Float seq_ns);
+             ("par_ns", Float par_ns);
+             ("speedup", Float speedup) ]);
+        ("calibration",
+         Obj
+           [ ("seq_ns", Float cal_seq_ns);
+             ("par_ns", Float cal_par_ns);
+             ("ideal", Float calib);
+             ("efficiency", Float efficiency);
+             ("min_speedup", Float min_speedup);
+             ("threshold", Float threshold) ]) ]
+      @ pool
+      @ [ (* Wall times, throughput and host scaling swing with the
+             machine; bench_diff reads these per-path tolerances from
+             the baseline so only real structural drift is flagged. *)
+          ("tolerances",
+           Obj
+             (List.map
+                (fun (path, pct) -> (path, Float pct))
+                [ ("wall.seq_ns", 300.); ("wall.par_ns", 300.);
+                  ("wall.speedup", 700.); ("calibration.seq_ns", 300.);
+                  ("calibration.par_ns", 300.); ("calibration.ideal", 700.);
+                  ("calibration.threshold", 700.);
+                  ("pool.runs_per_sec", 700.); ("pool.imbalance_pct", 200.) ])) ];
+    gates =
+      [ ("parfan_identical", identical);
+        ("parfan_isolation", isolation);
+        ("parfan_speedup", speedup_ok) ] }

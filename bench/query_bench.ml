@@ -2,18 +2,7 @@
    selective decode, does it stay honest, and what does building it
    cost at record time?
 
-   Run with [dune exec bench/main.exe query]. Emits a JSON report
-   (path from OSIRIS_QUERY_BENCH_JSON, default BENCH_query.json) and
-   exits non-zero when a gate fails:
-
-     OSIRIS_BENCH_MS            per-variant wall budget in ms (default 200)
-     OSIRIS_QUERY_BENCH_JSON    output path (default BENCH_query.json)
-     OSIRIS_QUERY_MAX_INDEX_OVERHEAD_PCT
-                                maximum tolerated record-time slowdown
-                                from sidecar indexing, in percent
-                                (default 5 — the ISSUE bound)
-
-   Gates:
+   Run with [dune exec bench/main.exe query]. Gates:
      selective_decode   a narrow vtime-window query over a >=100k-event
                         journal decodes < 15% of its records through
                         the index, and actually skips blocks
@@ -21,7 +10,8 @@
                         queries produce byte-identical JSON and CSV
                         artifacts (pushdown may over-decode, never
                         change answers)
-     index_overhead     sidecar indexing adds < 5% to [osiris record]
+     index_overhead     sidecar indexing adds less than
+                        [max_index_overhead_pct] to [osiris record]
                         wall time (Flight.record ~index:true vs false) *)
 
 open Harness
@@ -83,13 +73,15 @@ let synth_journal n =
 
 (* ------------------------------------------------------------------ *)
 
-let json_bool b = if b then "true" else "false"
+(* Maximum tolerated record-time slowdown from sidecar indexing, in
+   percent. Selective decode and byte identity are exact at any budget
+   (they run over a deterministic synthetic journal); this gate is
+   relaxed in the smoke run because runtest executes it beside the
+   rest of the suite. *)
+let max_index_overhead_pct = { strict = 5.; smoke = 25. }
 
-let run () =
-  Printf.printf
-    "\n================================================================\n\
-     Trace query engine: selective decode, artifact identity, index cost\n\
-     ================================================================\n";
+let run cfg =
+  heading "Trace query engine: selective decode, artifact identity, index cost";
   (* ---- record-time indexing overhead ----
      Measured first, while the heap is small: the selective-decode
      phase below keeps a ~1 MB journal plus its index live, which
@@ -114,63 +106,29 @@ let run () =
     else Filename.temp_file "osiris_query_bench" ".journal"
   in
   let record ~index () =
-    let t0 = now_ns () in
-    (match Flight.record ~path ~index header with
-     | Ok _ -> ()
-     | Error m -> failwith ("query bench: record: " ^ m));
-    now_ns () -. t0
+    match Flight.record ~path ~index header with
+    | Ok _ -> ()
+    | Error m -> failwith ("query bench: record: " ^ m)
   in
-  (* Interleaved pairs, alternating order within the pair: each round
-     times both variants under the same machine state. The gated
-     figure is the *median of per-round differences* over the median
-     plain wall — subtracting two independently-drawn minima would
-     make the gate hostage to which variant catches the luckier tail
-     sample, while paired differences cancel shared drift and the
-     median discards the sidecar write's file-system latency tail. *)
-  ignore (record ~index:false ());
-  ignore (record ~index:true ());
-  let best_plain = ref infinity and best_indexed = ref infinity in
-  let diffs = ref [] and plains = ref [] in
-  let rounds = ref 0 in
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
+  (* The gated figure is the paired median (see
+     [Harness.paired_median_pct]): it discards the sidecar write's
+     file-system latency tail. *)
+  let threshold = limit cfg max_index_overhead_pct in
+  let overhead_pct, s =
+    paired_median_pct cfg ~threshold
+      [ timed (record ~index:false); timed (record ~index:true) ]
   in
-  let measure budget =
-    let t0 = now_ns () in
-    let r0 = !rounds in
-    while now_ns () -. t0 < budget || !rounds - r0 < 8 do
-      let a = record ~index:(!rounds mod 2 = 0) () in
-      let b = record ~index:(!rounds mod 2 = 1) () in
-      let plain, indexed_ns =
-        if !rounds mod 2 = 0 then (b, a) else (a, b)
-      in
-      if plain < !best_plain then best_plain := plain;
-      if indexed_ns < !best_indexed then best_indexed := indexed_ns;
-      diffs := (indexed_ns -. plain) :: !diffs;
-      plains := plain :: !plains;
-      incr rounds
-    done;
-    100. *. median !diffs /. median !plains
-  in
-  let threshold = env_float "OSIRIS_QUERY_MAX_INDEX_OVERHEAD_PCT" ~default:5. in
-  let overhead_pct =
-    let first = measure (2. *. budget_ns ()) in
-    (* A near-miss earns one confirmation pass over a larger sample
-       (the medians only firm up, so this can't manufacture a pass the
-       hardware doesn't support). *)
-    if first < threshold then first else measure (4. *. budget_ns ())
-  in
+  let best_plain = best s 0 and best_indexed = best s 1 in
+  let overhead_spread = spread_pct s ~base:0 1 in
   Sys.remove path;
   (try Sys.remove (path ^ Journal.index_suffix) with Sys_error _ -> ());
   Printf.printf
     "record wall (%d interleaved rounds):\n\
     \  best without index %.2f ms, with index %.2f ms;\n\
-    \  paired median overhead %+.2f%% (gate < %.1f%%)\n"
-    !rounds (!best_plain /. 1e6) (!best_indexed /. 1e6) overhead_pct
-    threshold;
-  let overhead_ok = overhead_pct < threshold in
+    \  paired median overhead %+.2f%% (gate < %.1f%%; per-round IQR\n\
+    \  [%+.1f, %+.1f])\n"
+    s.rounds (best_plain /. 1e6) (best_indexed /. 1e6) overhead_pct
+    threshold (fst overhead_spread) (snd overhead_spread);
   (* ---- selective decode over a big synthetic journal ---- *)
   let journal, t_max = synth_journal 100_000 in
   let ix =
@@ -237,54 +195,36 @@ let run () =
     (List.length queries)
     (if identity_ok then "indexed == full scan"
      else "MISMATCH in " ^ String.concat ", " identity_failures);
-  (* ---- gates + JSON report ---- *)
-  let gates =
-    [ ("selective_decode", selective_ok);
-      ("byte_identity", identity_ok);
-      ("index_overhead", overhead_ok) ]
-  in
-  let buf = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f buf "{\n";
-  f buf "  \"bench\": \"query\",\n";
-  f buf "  \"budget_ms\": %.0f,\n" (budget_ns () /. 1e6);
-  f buf "  \"workload_seed\": %d,\n" workload_seed;
-  f buf
-    "  \"selectivity\": {\"records\": %d, \"blocks\": %d,\n\
-    \    \"records_decoded\": %d, \"records_decoded_pct\": %.3f,\n\
-    \    \"blocks_scanned\": %d, \"blocks_skipped\": %d, \"matched\": %d},\n"
-    total n_blocks stats.Journal.sc_records_decoded decoded_pct
-    stats.Journal.sc_blocks_scanned stats.Journal.sc_blocks_skipped
-    indexed.Query.q_matched;
-  f buf "  \"identity_queries\": %d,\n" (List.length queries);
-  f buf
-    "  \"wall\": {\"record_ns\": %.0f, \"record_indexed_ns\": %.0f,\n\
-    \    \"index_overhead_pct\": %.3f, \"max_index_overhead_pct\": %.1f},\n"
-    !best_plain !best_indexed overhead_pct threshold;
-  (* Wall numbers move with the host; the overhead ratio is the gated
-     figure and is a noise-centered paired median, so its relative
-     drift is meaningless (the gate itself is what's enforced).
-     Selectivity and identity are deterministic — no tolerance
-     needed. *)
-  f buf
-    "  \"tolerances\": {\"wall.record_ns\": 50.0,\n\
-    \    \"wall.record_indexed_ns\": 50.0,\n\
-    \    \"wall.index_overhead_pct\": 10000.0},\n";
-  f buf "  \"gates\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %s" n (json_bool ok))
-          gates));
-  f buf "}\n";
-  let p = json_path "OSIRIS_QUERY_BENCH_JSON" ~default:"BENCH_query.json" in
-  let oc = open_out p in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" p;
-  let failed = List.filter (fun (_, ok) -> not ok) gates in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, _) -> Printf.eprintf "query bench: gate FAILED: %s\n" n)
-      failed;
-    exit 1
-  end
-  else Printf.printf "all %d gates passed\n" (List.length gates)
+  { fields =
+      [ ("workload_seed", Int workload_seed);
+        ("selectivity",
+         Obj
+           [ ("records", Int total);
+             ("blocks", Int n_blocks);
+             ("records_decoded", Int stats.Journal.sc_records_decoded);
+             ("records_decoded_pct", Float decoded_pct);
+             ("blocks_scanned", Int stats.Journal.sc_blocks_scanned);
+             ("blocks_skipped", Int stats.Journal.sc_blocks_skipped);
+             ("matched", Int indexed.Query.q_matched) ]);
+        ("identity_queries", Int (List.length queries));
+        ("wall",
+         Obj
+           [ ("record_ns", Float best_plain);
+             ("record_indexed_ns", Float best_indexed);
+             ("index_overhead_pct", Float overhead_pct);
+             ("index_overhead_spread_pct", spread overhead_spread);
+             ("max_index_overhead_pct", Float threshold) ]);
+        (* Wall numbers move with the host; the overhead ratio is the
+           gated figure and is a noise-centered paired median, so its
+           relative drift is meaningless (the gate itself is what's
+           enforced). Selectivity and identity are deterministic — no
+           tolerance needed. *)
+        ("tolerances",
+         Obj
+           [ ("wall.record_ns", Float 50.);
+             ("wall.record_indexed_ns", Float 50.);
+             ("wall.index_overhead_pct", Float 10000.) ]) ];
+    gates =
+      [ ("selective_decode", selective_ok);
+        ("byte_identity", identity_ok);
+        ("index_overhead", overhead_pct < threshold) ] }

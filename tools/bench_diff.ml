@@ -7,9 +7,11 @@
    (e.g. wall.overhead_pct) and compared; relative moves beyond the
    threshold (default 10%) are flagged as DRIFT. Fields under "gates"
    are booleans: a gate that was true in OLD and false in NEW is a
-   REGRESSION and the exit status is 1. Drift alone exits 0 — wall
-   times vary across machines, so the CI step that runs this is
-   advisory; the gates themselves are enforced by the benches.
+   REGRESSION. A path of OLD missing from NEW is GONE — the artifact's
+   schema shrank — and also a regression; paths only in NEW are
+   allowed. Any regression makes the exit status 1. Drift alone exits
+   0 — wall times vary across machines, so the CI step that runs this
+   is advisory; the gates themselves are enforced by the benches.
 
    A bench artifact may carry a top-level "tolerances" object mapping
    dotted paths to a relative tolerance in percent, e.g.
@@ -259,13 +261,17 @@ let () =
            Printf.printf "  changed   %-42s %S -> %S\n" path ov n
          | Some _, _ -> ())
     new_kv;
+  let gone = ref 0 in
   List.iter
     (fun (path, _) ->
        if (not (is_tolerance_entry path)) && not (List.mem_assoc path new_kv)
-       then Printf.printf "  GONE      %-42s (only in old)\n" path)
+       then begin
+         incr gone;
+         Printf.printf "  GONE      %-42s (only in old)\n" path
+       end)
     old_kv;
-  if !regressions > 0 then begin
-    Printf.printf "%d gate regression(s)\n" !regressions;
+  if !regressions > 0 || !gone > 0 then begin
+    Printf.printf "%d gate regression(s), %d gone path(s)\n" !regressions !gone;
     exit 1
   end
   else
