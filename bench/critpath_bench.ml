@@ -16,8 +16,9 @@
                              global phase totals — zero tolerance on
                              both
      journal_parity          attributing the decoded journal of a run
-                             yields a byte-identical rendering to
-                             attributing the live event stream
+                             ([Flight.capture], what [osiris why]
+                             reads) yields a byte-identical rendering
+                             to attributing the live event stream
      blame_identity          the per-spec p99-blame rollup is
                              byte-identical across re-runs and across
                              domain-pool worker counts (jobs:1 vs
@@ -52,7 +53,7 @@ let collect_events ~spec ~crash =
     | Ok h -> h
     | Error m -> failwith m
   in
-  let c = Obs_collector.create () in
+  let events = ref [] in
   let kr = ref None in
   ignore
     (Runspec.exec
@@ -62,8 +63,8 @@ let collect_events ~spec ~crash =
            Kernel.enable_request_counts k;
            kr := Some k)
        header
-       ~hook:(Obs_collector.record c));
-  (header, Obs_collector.events c, Option.get !kr)
+       ~hook:(fun ev -> events := ev :: !events));
+  (header, List.rev !events, Option.get !kr)
 
 (* Canonical rendering used by the parity and identity gates — every
    field of every breakdown, in analysis order. *)
@@ -168,11 +169,12 @@ let run cfg =
   let header, events2, _ = collect_events ~spec:"enhanced" ~crash:"ds" in
   let live_render = render_result (Critpath.analyze events2) in
   let parity =
-    match Journal.read_string (Journal.of_events header events2) with
-    | Error m -> failwith ("critpath bench: journal decode: " ^ m)
-    | Ok (_, decoded) ->
+    match Flight.capture header with
+    | Error m -> failwith ("critpath bench: journal capture: " ^ m)
+    | Ok c ->
       String.equal live_render
-        (render_result (Critpath.analyze (Array.to_list decoded)))
+        (render_result
+           (Critpath.analyze (Array.to_list c.Flight.cap_events)))
   in
   Printf.printf "journal parity: attribution of decoded journal %s\n"
     (if parity then "byte-identical to live" else "DIFFERS");

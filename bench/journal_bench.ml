@@ -11,7 +11,9 @@
                          encode+flush sweep is reported separately as
                          finalize
      round_trip          decode(encode(stream)) is structurally equal
-                         to the hooked stream, header included
+                         to the hooked stream, header included; and
+                         [Flight.capture]'s decoded array on crashy
+                         quickstart equals that run's hooked stream
      bytes_per_event     on-disk framing stays compact (< 24 bytes per
                          event averaged over a crashy mixed workload) *)
 
@@ -25,7 +27,7 @@ let header ~workload ~crash =
   | Error m -> failwith ("journal bench: " ^ m)
 
 (* Wall-time rungs run two workloads. The gate holds on the generated
-   mixed workload (workgen) — the same standard the tracer's 5% gate
+   mixed workload (workgen) — the same standard the capture's 5% gate
    in obs_bench is held to. The regression-suite driver is reported
    alongside as a stress figure: at ~28k events over ~20ms it is the
    densest event stream the simulator can produce (~1.4 events/us —
@@ -111,9 +113,19 @@ let round_trip_probe () =
   let recorded = Array.of_list (List.rev !seen) in
   let bytes = Journal.bytes_written w in
   let records = Journal.records_written w in
+  (* The CLI's event views read [Flight.capture]'s decoded array. *)
+  let quick = header ~workload:"quickstart" ~crash:"ds" in
+  let live = ref [] in
+  ignore (Runspec.exec quick ~hook:(fun ev -> live := ev :: !live));
+  let captured =
+    match Flight.capture quick with
+    | Ok c -> c.Flight.cap_events = Array.of_list (List.rev !live)
+    | Error m -> failwith ("round trip capture failed: " ^ m)
+  in
   match Journal.read_string (Journal.contents w) with
   | Error m -> failwith ("round trip decode failed: " ^ m)
-  | Ok (h', decoded) -> (h = h' && decoded = recorded, records, bytes)
+  | Ok (h', decoded) ->
+    (h = h' && decoded = recorded && captured, records, bytes)
 
 (* Maximum tolerated attached-recorder slowdown over the unhooked run,
    in percent. The allocation, round-trip and framing gates are exact

@@ -1,7 +1,7 @@
 (* Observability overhead benchmark: what a closure observer on the
    kernel's capture ([System.build ?event_hook], installed as
-   [Capture.of_hook]), the tracer, and the metrics registry cost on an
-   IPC-heavy workload.
+   [Capture.of_hook]), the flight recorder's in-memory capture, and the
+   metrics registry cost on an IPC-heavy workload.
 
    Run with [dune exec bench/main.exe obs]. Gates:
      metrics_zero_alloc      counter/gauge/histogram updates allocate
@@ -12,9 +12,14 @@
                              with no capture installed emission really
                              is guarded, and records are only built by
                              the hook's decoder
-     tracer_overhead         attached-tracer wall-time overhead on the
-                             full workload stays under
-                             [max_overhead_pct] *)
+     capture_overhead        the recorder behind every CLI event view —
+                             [Flight.capture]'s in-memory journal —
+                             slows the full workload by less than
+                             [max_overhead_pct] wall time over the
+                             unhooked run; like the journal bench's
+                             recording gate it holds the in-run cost,
+                             and the post-run close + decode is
+                             reported beside it, not gated *)
 
 open Harness
 
@@ -29,8 +34,11 @@ open Harness
 
 let workload_seed = 42
 
-let run_once ?event_hook () =
-  let sys = System.build ?event_hook ~seed:workload_seed (Sysconf.uniform Policy.enhanced) in
+let run_once ?event_hook ?journal () =
+  let sys =
+    System.build ?event_hook ?journal ~seed:workload_seed
+      (Sysconf.uniform Policy.enhanced)
+  in
   match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
   | Kernel.H_completed _ -> ()
   | halt -> failwith ("obs bench workload halted: " ^ Kernel.halt_to_string halt)
@@ -63,12 +71,38 @@ let lazy_emission_probe () =
   in
   (unhooked_words, hooked_words, !events)
 
-(* Maximum tolerated attached-tracer slowdown over the unhooked run,
-   in percent; the smoke run holds the same bound. *)
+(* The header of [run_once]'s run, which [Flight.capture] would
+   record it under. *)
+let capture_header =
+  match
+    Runspec.make_header ~seed:workload_seed ~spec:"enhanced"
+      ~workload:"workgen" ()
+  with
+  | Ok h -> h
+  | Error m -> failwith ("obs bench: " ^ m)
+
+(* One [Flight.capture] pass split at the halt: the timed run with the
+   in-memory journal attached, then close and decode, whose best time
+   lands in [decode]. *)
+let capture_rung decode () =
+  let w = Journal.to_memory capture_header in
+  let (), run_ns = time (fun () -> run_once ~journal:w ()) in
+  let (), decode_ns =
+    time (fun () ->
+        Journal.close w;
+        match Journal.read_string (Journal.contents w) with
+        | Ok _ -> ()
+        | Error m -> failwith ("obs bench decode: " ^ m))
+  in
+  if decode_ns < !decode then decode := decode_ns;
+  run_ns
+
+(* Maximum tolerated capture slowdown over the unhooked run, in
+   percent; the smoke run holds the same bound. *)
 let max_overhead_pct = 5.
 
 let run cfg =
-  heading "Observability substrate: hook, tracer, and metrics overhead";
+  heading "Observability substrate: hook, capture, and metrics overhead";
   (* ---- allocation ---- *)
   let metric_ops, metric_words = metrics_alloc_probe () in
   Printf.printf "metrics storm: %d updates -> %.0f minor words allocated\n"
@@ -82,28 +116,21 @@ let run cfg =
     \  words than unhooked (%.1f words/event) — unhooked pays for none of them\n"
     events (hooked_words -. unhooked_words) words_per_event;
   (* ---- wall time ---- *)
-  let tracer = Tracer.create ~capacity:4096 () in
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
+  let decode = ref infinity in
   let s =
-    sample cfg
-      [ timed (fun () -> run_once ());
-        timed (fun () -> run_once ~event_hook:(Tracer.record tracer) ());
-        timed (fun () ->
-            Obs_collector.clear collector;
-            run_once ~event_hook:(Obs_collector.record collector) ()) ]
+    sample cfg [ timed (fun () -> run_once ()); capture_rung decode ]
   in
-  let base_ns = best s 0 and tracer_ns = best s 1 and full_ns = best s 2 in
-  let tracer_pct = pct_over ~base:base_ns tracer_ns in
-  let full_pct = pct_over ~base:base_ns full_ns in
-  let tracer_spread = spread_pct s ~base:0 1 in
+  let base_ns = best s 0 and capture_ns = best s 1 in
+  let capture_pct = pct_over ~base:base_ns capture_ns in
+  let capture_spread = spread_pct s ~base:0 1 in
+  let decode_pct = pct_over ~base:base_ns (capture_ns +. !decode) in
   Printf.printf
     "whole-run wall time (best of %d interleaved rounds):\n\
     \  unhooked          %.2f ms\n\
-    \  tracer attached   %.2f ms (%+.2f%%; per-round IQR [%+.1f, %+.1f])\n\
-    \  collector+metrics %.2f ms (%+.2f%%)\n"
-    s.rounds (base_ns /. 1e6) (tracer_ns /. 1e6) tracer_pct
-    (fst tracer_spread) (snd tracer_spread) (full_ns /. 1e6) full_pct;
+    \  capture attached  %.2f ms (%+.2f%%; per-round IQR [%+.1f, %+.1f])\n\
+    \  close + decode    %.2f ms after the run (whole capture %+.2f%%)\n"
+    s.rounds (base_ns /. 1e6) (capture_ns /. 1e6) capture_pct
+    (fst capture_spread) (snd capture_spread) (!decode /. 1e6) decode_pct;
   { fields =
       [ ("workload_seed", Int workload_seed);
         ("metrics_storm",
@@ -117,12 +144,11 @@ let run cfg =
         ("wall",
          Obj
            [ ("unhooked_ns", Float base_ns);
-             ("tracer_ns", Float tracer_ns);
-             ("collector_ns", Float full_ns);
-             ("tracer_overhead_pct", Float tracer_pct);
-             ("tracer_spread_pct", spread tracer_spread);
-             ("collector_overhead_pct", Float full_pct);
-             ("collector_spread_pct", spread (spread_pct s ~base:0 2));
+             ("capture_ns", Float capture_ns);
+             ("capture_overhead_pct", Float capture_pct);
+             ("capture_spread_pct", spread capture_spread);
+             ("capture_decode_ns", Float !decode);
+             ("capture_total_overhead_pct", Float decode_pct);
              ("max_overhead_pct", Float max_overhead_pct) ]) ];
     gates =
       [ (* 64-word slack: Gc.minor_words itself and the loop closure may
@@ -134,4 +160,4 @@ let run cfg =
            would be ~0. *)
         ("lazy_event_construction",
          events > 0 && hooked_words -. unhooked_words >= 3. *. float_of_int events);
-        ("tracer_overhead", tracer_pct < max_overhead_pct) ] }
+        ("capture_overhead", capture_pct < max_overhead_pct) ] }

@@ -103,6 +103,18 @@ let crash_faults ~count = function
   | None -> []
   | Some ep -> [ Runspec.Crash_replies (ep, count) ]
 
+(* The event views (events, trace, report, timeline, why, health) read
+   a recorded run: [Flight.capture] runs the description with an
+   in-memory journal and hands back the decoded events. Every run this
+   CLI describes has a header form. *)
+let capture ?prepare ?profiler ?telemetry spec =
+  match
+    Result.bind (Runspec.to_header spec)
+      (Flight.capture ?prepare ?profiler ?telemetry)
+  with
+  | Ok c -> c
+  | Error m -> failwith ("capture: " ^ m)
+
 let suite_cmd =
   let run policy seed verbose trace =
     setup_logs ();
@@ -313,16 +325,18 @@ let events_cmd =
   in
   let run policy seed last =
     setup_logs ();
-    let tracer = Tracer.create ~capacity:(max 1 last) () in
-    let _, halt =
-      Runspec.run
-        ~prepare:(fun sys -> Tracer.attach tracer (System.kernel sys))
+    let c =
+      capture
         (described ~seed ~workload:"workgen" ~faults:[]
            (Sysconf.uniform policy))
     in
-    List.iter print_endline (Tracer.timeline tracer);
-    Printf.printf "(%d events total; halted: %s)\n" (Tracer.recorded tracer)
-      (Kernel.halt_to_string halt);
+    let n = Array.length c.Flight.cap_events in
+    let shown = min (max 1 last) (n - c.Flight.cap_boot) in
+    List.iter print_endline
+      (Replay.aligned
+         (Array.to_list (Array.sub c.Flight.cap_events (n - shown) shown)));
+    Printf.printf "(%d events total; halted: %s)\n" (n - c.Flight.cap_boot)
+      (Kernel.halt_to_string c.Flight.cap_halt);
     0
   in
   Cmd.v
@@ -346,17 +360,14 @@ let crash_arg =
          ~doc:"Inject one recoverable crash into this server (none to \
                disable).")
 
-(* The quickstart workload with a collector attached from boot. *)
-let quickstart_obs ?profiler policy seed crash =
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
-  let sys, halt =
-    Runspec.run ~event_hook:(Obs_collector.record collector) ?profiler
+(* The quickstart workload, recorded from boot, and its events. *)
+let quickstart ?profiler ?telemetry policy seed crash =
+  let c =
+    capture ?profiler ?telemetry
       (described ~seed ~workload:"quickstart"
          ~faults:(crash_faults ~count:1 crash) (Sysconf.uniform policy))
   in
-  Obs_collector.snapshot_server_stats metrics (System.kernel sys);
-  (sys, collector, metrics, halt)
+  (c, Array.to_list c.Flight.cap_events)
 
 let trace_cmd =
   let json_arg =
@@ -370,10 +381,7 @@ let trace_cmd =
     (* Sampled profiler: per-phase cycle-rate counter tracks alongside
        the span tracks. *)
     let profiler = Profiler.create ~sample_every:20_000 () in
-    let _, collector, _metrics, halt =
-      quickstart_obs ~profiler policy seed crash
-    in
-    let events = Obs_collector.events collector in
+    let c, events = quickstart ~profiler policy seed crash in
     let spans = Span.build events in
     let counters = Flame.counter_samples profiler in
     let oc = open_out json in
@@ -390,9 +398,9 @@ let trace_cmd =
     List.iter print_endline (Span.render_tree interesting);
     Printf.printf
       "%d events, %d spans (%d with recovery) | halted: %s\nwrote %s\n"
-      (Obs_collector.count collector)
+      (Array.length c.Flight.cap_events)
       (Span.count spans) (List.length interesting)
-      (Kernel.halt_to_string halt) json;
+      (Kernel.halt_to_string c.Flight.cap_halt) json;
     0
   in
   Cmd.v
@@ -404,10 +412,12 @@ let trace_cmd =
 let report_cmd =
   let run policy seed crash =
     setup_logs ();
-    let sys, collector, metrics, halt = quickstart_obs policy seed crash in
-    let spans = Span.build (Obs_collector.events collector) in
-    print_endline (Obs_report.render ~metrics ~kernel:(System.kernel sys) spans);
-    Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
+    let c, events = quickstart policy seed crash in
+    let kernel = System.kernel c.Flight.cap_system in
+    print_endline
+      (Obs_report.render ~metrics:(Obs_report.metrics ~kernel events) ~kernel
+         (Span.build events));
+    Printf.printf "halted: %s\n" (Kernel.halt_to_string c.Flight.cap_halt);
     0
   in
   Cmd.v
@@ -440,14 +450,6 @@ let spec_opt_arg =
 let conf_of_args policy spec =
   match spec with Some c -> c | None -> Sysconf.uniform policy
 
-let out_path ~flag ~env ~default =
-  match flag with
-  | Some p -> p
-  | None ->
-    (match Sys.getenv_opt env with
-     | Some p when p <> "" -> p
-     | _ -> default)
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -466,10 +468,8 @@ let timeline_cmd =
            ~doc:"Sliding latency window, in samples.")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_TIMELINE_JSON or \
-                 osiris_timeline.json).")
+    Arg.(value & opt string "osiris_timeline.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None
@@ -487,17 +487,10 @@ let timeline_cmd =
   in
   let run policy seed crash interval window json csv perfetto no_color =
     setup_logs ();
-    let metrics = Metrics.create () in
-    let collector = Obs_collector.create ~metrics () in
     let ts = Timeseries.create ~interval () in
-    let sys, halt =
-      Runspec.run ~event_hook:(Obs_collector.record collector) ~telemetry:ts
-        (described ~seed ~workload:"quickstart"
-           ~faults:(crash_faults ~count:1 crash) (Sysconf.uniform policy))
-    in
-    let kernel = System.kernel sys in
-    Timeseries.publish ts metrics;
-    let spans = Span.build (Obs_collector.events collector) in
+    let c, events = quickstart ~telemetry:ts policy seed crash in
+    let kernel = System.kernel c.Flight.cap_system in
+    let spans = Span.build events in
     (* Request latency = completed top-level request spans, stamped at
        completion — what the sliding percentile windows consume. Since
        arrival anchoring, request spans nest under per-process Session
@@ -512,11 +505,8 @@ let timeline_cmd =
     in
     let tl = Timeline.of_kernel ~latencies ~window ts kernel in
     print_string (Timeline.dashboard ~color:(not no_color) tl);
-    Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_TIMELINE_JSON"
-         ~default:"osiris_timeline.json")
-      (Timeline.to_json tl);
+    Printf.printf "halted: %s\n" (Kernel.halt_to_string c.Flight.cap_halt);
+    write_file json (Timeline.to_json tl);
     (match csv with
      | Some p -> write_file p (Timeline.to_csv tl)
      | None -> ());
@@ -592,10 +582,8 @@ let load_cmd =
            ~doc:"Zipf skew exponent for key popularity (0 = uniform).")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_LOAD_JSON or \
-                 osiris_load.json).")
+    Arg.(value & opt string "osiris_load.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None
@@ -643,11 +631,22 @@ let load_cmd =
           l_zipf = zipf }
       in
       let ts = Timeseries.create ~interval:2048 () in
-      let collector = if attribute then Some (Obs_collector.create ()) else None in
+      (* Attribution records the step to an in-memory journal and
+         analyzes the decoded events. A storm has no Runspec form, so
+         the header only labels the journal; nothing replays it. *)
+      let journal =
+        if not attribute then None
+        else
+          Some
+            (Journal.to_memory
+               { Journal.jh_version = Journal.version; jh_seed = seed;
+                 jh_arch = Kernel.Microkernel; jh_spec = policy.Policy.name;
+                 jh_workload = "load"; jh_crash = crash_name crash;
+                 jh_crash_count = 1;
+                 jh_cost_fingerprint = Costs.fingerprint Costs.microkernel })
+      in
       let sys =
-        System.build ~seed ~telemetry:ts
-          ?event_hook:(Option.map Obs_collector.record collector)
-          (Sysconf.uniform policy)
+        System.build ~seed ~telemetry:ts ?journal (Sysconf.uniform policy)
       in
       let kernel = System.kernel sys in
       let reqs = Loadgen.inject kernel spec in
@@ -668,11 +667,15 @@ let load_cmd =
       in
       let att =
         Option.map
-          (fun c ->
-             let cp = Critpath.analyze (Obs_collector.events c) in
-             (Tailprof.profile cp.Critpath.cr_requests,
-              cp.Critpath.cr_incomplete))
-          collector
+          (fun w ->
+             Journal.close w;
+             match Journal.read_string (Journal.contents w) with
+             | Error m -> failwith ("load: " ^ m)
+             | Ok (_, events) ->
+               let cp = Critpath.analyze (Array.to_list events) in
+               (Tailprof.profile cp.Critpath.cr_requests,
+                cp.Critpath.cr_incomplete))
+          journal
       in
       (halt, o, crashes, restarts, Kernel.shed_exits kernel, att, tl_json)
     in
@@ -778,10 +781,7 @@ let load_cmd =
       Printf.bprintf buf "  ],\n  \"knee_step\": %d\n}\n" (Tailprof.knee p99s)
     end
     else Printf.bprintf buf "  ]\n}\n";
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_LOAD_JSON"
-         ~default:"osiris_load.json")
-      (Buffer.contents buf);
+    write_file json (Buffer.contents buf);
     (match csv with
      | Some path ->
        let cb = Buffer.create 1024 in
@@ -857,15 +857,13 @@ let why_cmd =
   let journal_arg =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
-           ~doc:"Attribute a recorded journal instead of running live \
-                 ($(b,--spec)/$(b,--crash)/... are ignored; the journal \
-                 already fixes the run).")
+           ~doc:"Attribute a recorded journal instead of running live. The \
+                 journal fixes the run, so the flags that describe one \
+                 ($(b,--spec), $(b,--crash), ...) are rejected with it.")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_WHY_JSON or \
-                 osiris_why.json).")
+    Arg.(value & opt string "osiris_why.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let perfetto_arg =
     Arg.(value & opt (some string) None
@@ -925,18 +923,38 @@ let why_cmd =
              (if j = last then "      ]}" else ","))
         tp.Tailprof.tp_blame
   in
-  let run policy specs seed arch workload crash count jobs journal json
-      perfetto top =
+  (* The flags that describe a live run, and the command-line words
+     that set any of them: a journal already fixes its run, so with
+     --journal any such word is an error. *)
+  let live_args =
+    Term.(with_used_args
+            (const (fun policy specs seed arch workload crash count jobs ->
+                 (policy, specs, seed, arch, workload, crash, count, jobs))
+             $ policy_arg $ spec_all_arg $ seed_arg $ arch_arg $ workload_arg
+             $ crash_arg $ count_arg $ jobs_arg))
+  in
+  let run ((policy, specs, seed, arch, workload, crash, count, jobs), used)
+      journal json perfetto top =
     setup_logs ();
     let runs =
-      match journal with
-      | Some path ->
+      match journal, List.find_opt (String.starts_with ~prefix:"-") used with
+      | Some _, Some word ->
+        let flag =
+          match String.index_opt word '=' with
+          | Some i -> String.sub word 0 i
+          | None -> word
+        in
+        Printf.eprintf
+          "why: %s does not apply with --journal: the journal fixes the run\n"
+          flag;
+        Error 1
+      | Some path, None ->
         (match Journal.read_file path with
          | Error m ->
            prerr_endline ("why: " ^ m);
            Error 1
          | Ok (_header, events) -> Ok [ (Array.to_list events, None) ])
-      | None ->
+      | None, _ ->
         let specs = if specs = [] then [ policy.Policy.name ] else specs in
         let headers =
           List.map
@@ -963,22 +981,22 @@ let why_cmd =
              (Parfan.map
                 ?jobs:(if jobs = 0 then None else Some jobs)
                 (fun header ->
-                   let c = Obs_collector.create () in
-                   let kr = ref None in
-                   ignore
-                     (Runspec.exec
-                        ~prepare:(fun sys ->
-                            let k = System.kernel sys in
-                            (* Kernel-side charging is the independent
-                               cross-check on the event-derived
-                               attribution; it observes the run without
-                               perturbing it. *)
-                            Kernel.enable_cycle_counts k;
-                            Kernel.enable_request_counts k;
-                            kr := Some k)
-                        header
-                        ~hook:(Obs_collector.record c));
-                   (Obs_collector.events c, !kr))
+                   match
+                     Flight.capture
+                       ~prepare:(fun sys ->
+                           let k = System.kernel sys in
+                           (* Kernel-side charging is the independent
+                              cross-check on the event-derived
+                              attribution; it observes the run without
+                              perturbing it. *)
+                           Kernel.enable_cycle_counts k;
+                           Kernel.enable_request_counts k)
+                       header
+                   with
+                   | Error m -> failwith ("why: " ^ m)
+                   | Ok c ->
+                     (Array.to_list c.Flight.cap_events,
+                      Some (System.kernel c.Flight.cap_system)))
                 headers))
     in
     match runs with
@@ -1108,10 +1126,7 @@ let why_cmd =
              Buffer.add_string buf (if i = nruns - 1 then "}\n" else "},\n"))
           analyzed;
         Printf.bprintf buf "  ]\n}\n";
-        write_file
-          (out_path ~flag:json ~env:"OSIRIS_WHY_JSON"
-             ~default:"osiris_why.json")
-          (Buffer.contents buf);
+        write_file json (Buffer.contents buf);
         (match perfetto, analyzed with
          | Some path, (events, _, cp, prof) :: _ ->
            let spans = Span.build events in
@@ -1151,23 +1166,19 @@ let why_cmd =
              compute, queueing, per-server service, checkpoint windows, \
              self-inflicted rollback/restart, recovery collateral) and \
              rank which bucket separates the p99 tail from the median.")
-    Term.(const run $ policy_arg $ spec_all_arg $ seed_arg $ arch_arg
-          $ workload_arg $ crash_arg $ count_arg $ jobs_arg $ journal_arg
-          $ json_arg $ perfetto_arg $ top_arg)
+    Term.(const run $ live_args $ journal_arg $ json_arg $ perfetto_arg
+          $ top_arg)
 
 let profile_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_PROFILE_JSON or \
-                 osiris_profile.json).")
+    Arg.(value & opt string "osiris_profile.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let folded_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt string "osiris_profile.folded"
          & info [ "folded" ] ~docv:"PATH"
-           ~doc:"Folded-stack flamegraph output (default from \
-                 OSIRIS_PROFILE_FOLDED or osiris_profile.folded; feed to \
-                 flamegraph.pl / inferno / speedscope).")
+           ~doc:"Folded-stack flamegraph output (feed to flamegraph.pl / \
+                 inferno / speedscope).")
   in
   let run policy spec seed crash json folded =
     setup_logs ();
@@ -1181,14 +1192,8 @@ let profile_cmd =
     let kernel = System.kernel sys in
     print_endline (Profiler.report profiler);
     Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_PROFILE_JSON"
-         ~default:"osiris_profile.json")
-      (Profiler.to_json profiler);
-    write_file
-      (out_path ~flag:folded ~env:"OSIRIS_PROFILE_FOLDED"
-         ~default:"osiris_profile.folded")
-      (Flame.folded profiler);
+    write_file json (Profiler.to_json profiler);
+    write_file folded (Flame.folded profiler);
     match Profiler.check_conservation profiler kernel with
     | Ok () ->
       Printf.printf "conservation: ok (%d cycles attributed over %d records)\n"
@@ -1208,10 +1213,8 @@ let profile_cmd =
 
 let health_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_HEALTH_JSON or \
-                 osiris_health.json).")
+    Arg.(value & opt string "osiris_health.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let crashes_arg =
     Arg.(value & opt int 1
@@ -1222,23 +1225,18 @@ let health_cmd =
     setup_logs ();
     let conf = conf_of_args policy spec in
     let profiler = Profiler.create () in
-    let watchdog = Health.create () in
-    let sys, halt =
-      Runspec.run ~event_hook:(Health.observe watchdog) ~profiler
+    let c =
+      capture ~profiler
         (described ~seed ~workload:"quickstart"
            ~faults:(crash_faults ~count:crashes crash) conf)
     in
-    let kernel = System.kernel sys in
     let comps =
       Health.snapshot ~profiler ~budget_for:(Sysconf.budget_for conf)
-        watchdog kernel
+        (Array.to_list c.Flight.cap_events) (System.kernel c.Flight.cap_system)
     in
     print_endline (Health.render comps);
-    Printf.printf "halted: %s\n" (Kernel.halt_to_string halt);
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_HEALTH_JSON"
-         ~default:"osiris_health.json")
-      (Health.to_json comps);
+    Printf.printf "halted: %s\n" (Kernel.halt_to_string c.Flight.cap_halt);
+    write_file json (Health.to_json comps);
     if List.for_all (fun c -> c.Health.co_status = Health.Healthy) comps then 0
     else 1
   in
@@ -1274,10 +1272,8 @@ let survivability_cmd =
                  evaluation policies (the Tables II/III diagonal).")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_SURVIVABILITY_JSON \
-                 or survivability.json).")
+    Arg.(value & opt string "survivability.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let timeline_arg =
     Arg.(value & opt (some string) None
@@ -1327,10 +1323,7 @@ let survivability_cmd =
            (if i = List.length rows - 1 then "" else ","))
       rows;
     Buffer.add_string buf "  ]\n}\n";
-    write_file
-      (out_path ~flag:json ~env:"OSIRIS_SURVIVABILITY_JSON"
-         ~default:"survivability.json")
-      (Buffer.contents buf);
+    write_file json (Buffer.contents buf);
     (* The rollup's deterministic sections are byte-identical at any
        --jobs; the "pool" section (wall-clock worker utilization) is
        the one exception and rides only in this artifact. *)
@@ -1403,10 +1396,9 @@ let policies_cmd =
 (* ---- Flight recorder: record / replay / postmortem ---- *)
 
 let journal_path_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt string "osiris.journal"
        & info [ "journal" ] ~docv:"PATH"
-         ~doc:"Journal file (default from OSIRIS_JOURNAL or \
-               osiris.journal).")
+         ~doc:"Journal file.")
 
 let read_raw path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -1475,12 +1467,9 @@ let record_cmd =
                  structural-divergence fixture).")
   in
   let run policy spec seed arch workload crash count ring no_index perturb
-      journal =
+      path =
     setup_logs ();
     let spec = match spec with Some s -> s | None -> policy.Policy.name in
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match
       Runspec.make_header ~arch ~seed ~spec ~workload
         ~crash:(crash_name crash) ~crash_count:count ()
@@ -1516,10 +1505,8 @@ let record_cmd =
 
 let replay_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_REPLAY_JSON or \
-                 osiris_replay.json).")
+    Arg.(value & opt string "osiris_replay.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let perturb_arg =
     Arg.(value & flag
@@ -1528,11 +1515,8 @@ let replay_cmd =
                  intentional-divergence fixture (expect exit 2 with the \
                  first divergent record named).")
   in
-  let run journal json perturb =
+  let run path json perturb =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline m; 1
     | Ok bytes ->
@@ -1556,10 +1540,7 @@ let replay_cmd =
           | Some m -> prerr_endline ("replay: " ^ m); 1
           | None ->
             print_string (Replay.render outcome);
-            write_file
-              (out_path ~flag:json ~env:"OSIRIS_REPLAY_JSON"
-                 ~default:"osiris_replay.json")
-              (Replay.to_json outcome);
+            write_file json (Replay.to_json outcome);
             Replay.exit_code outcome))
   in
   Cmd.v
@@ -1571,16 +1552,11 @@ let replay_cmd =
 
 let postmortem_cmd =
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_POSTMORTEM_JSON \
-                 or osiris_postmortem.json).")
+    Arg.(value & opt string "osiris_postmortem.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
-  let run journal json =
+  let run path json =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline m; 1
     | Ok bytes ->
@@ -1589,10 +1565,7 @@ let postmortem_cmd =
        | Ok report ->
          print_string
            (Postmortem.render report.Postmortem.pm_header report);
-         write_file
-           (out_path ~flag:json ~env:"OSIRIS_POSTMORTEM_JSON"
-              ~default:"osiris_postmortem.json")
-           (Postmortem.to_json report);
+         write_file json (Postmortem.to_json report);
          0)
   in
   Cmd.v
@@ -1611,11 +1584,8 @@ let index_cmd =
            ~doc:"Records per index block (smaller blocks skip more, \
                  cost more summaries).")
   in
-  let run journal block_records =
+  let run path block_records =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline ("index: " ^ m); 1
     | Ok bytes ->
@@ -1688,11 +1658,8 @@ let query_cmd =
          | _ -> Error (Printf.sprintf "unknown aggregation %S" s))
       | None -> Error (Printf.sprintf "unknown aggregation %S" s)
   in
-  let run journal no_index agg_s json csv terms =
+  let run path no_index agg_s json csv terms =
     setup_logs ();
-    let path =
-      out_path ~flag:journal ~env:"OSIRIS_JOURNAL" ~default:"osiris.journal"
-    in
     match read_raw path with
     | Error m -> prerr_endline ("query: " ^ m); 1
     | Ok bytes ->
@@ -1736,10 +1703,8 @@ let diff_cmd =
          & info [] ~docv:"JOURNAL_B" ~doc:"Journal to compare against A.")
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-           ~doc:"JSON artifact path (default from OSIRIS_DIFF_JSON or \
-                 osiris_diff.json).")
+    Arg.(value & opt string "osiris_diff.json"
+         & info [ "json" ] ~docv:"PATH" ~doc:"JSON artifact path.")
   in
   let run a b json =
     setup_logs ();
@@ -1753,10 +1718,7 @@ let diff_cmd =
           | Error m -> prerr_endline ("diff: " ^ m); 1
           | Ok r ->
             print_string (Rundiff.render r);
-            write_file
-              (out_path ~flag:json ~env:"OSIRIS_DIFF_JSON"
-                 ~default:"osiris_diff.json")
-              (Rundiff.to_json r);
+            write_file json (Rundiff.to_json r);
             Rundiff.exit_code r))
   in
   Cmd.v

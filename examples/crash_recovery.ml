@@ -12,9 +12,12 @@ open Prog.Syntax
 let demo_in_window () =
   print_endline "--- scenario 1: crash INSIDE the recovery window ------------";
   print_endline "fault: PM dies at the start of fork() handling";
-  let sys = System.build (Sysconf.uniform Policy.enhanced) in
-  let tracer = Tracer.create ~capacity:64 () in
-  Tracer.attach tracer (System.kernel sys);
+  let events = ref [] in
+  let sys =
+    System.build
+      ~event_hook:(fun ev -> events := ev :: !events)
+      (Sysconf.uniform Policy.enhanced)
+  in
   let fired = ref false in
   Kernel.set_fault_hook (System.kernel sys)
     (Some
@@ -49,7 +52,7 @@ let demo_in_window () =
   List.iter (fun l -> print_endline ("  [console] " ^ l)) (System.log_lines sys);
   print_endline "recovery timeline (PM events):";
   List.iter (fun l -> print_endline ("  " ^ l))
-    (Tracer.timeline ~only:Endpoint.pm tracer);
+    (Replay.aligned ~only:Endpoint.pm (List.rev !events));
   Printf.printf "outcome: %s, PM restarts: %d\n\n"
     (Kernel.halt_to_string halt)
     (Kernel.server_stats (System.kernel sys) Endpoint.pm).Kernel.ss_restarts

@@ -1,7 +1,7 @@
-(* Observability tour: run a random-but-deterministic workload with the
-   full lib/obs pipeline attached — collector + metrics from boot, a
-   mid-run fault, then span trees, latency/recovery/metrics tables, and
-   a Perfetto-loadable Chrome trace.
+(* Observability tour: record a random-but-deterministic workload with
+   a mid-run fault, then read the recorded events back as the last
+   few events, span trees, latency/recovery/metrics tables, and a
+   Perfetto-loadable Chrome trace.
 
      dune exec examples/observability.exe [seed]        (default 2026)
 
@@ -17,43 +17,34 @@ let () =
   Printf.printf "workload plan (seed %d):\n" seed;
   List.iteri (fun i a -> Printf.printf "  %2d. %s\n" (i + 1) a)
     (Workgen.describe ~seed ());
-  (* Collector + metrics registry, attached before boot so the trace
-     includes boot traffic; a small tracer rides along on the same hook
-     as a cheap flight recorder for the closing timeline. *)
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
-  let tracer = Tracer.create ~capacity:24 () in
-  let sys =
-    System.build ~seed
-      ~event_hook:(fun ev ->
-        Obs_collector.record collector ev;
-        Tracer.record tracer ev) (Sysconf.uniform Policy.enhanced)
+  (* Record the run from boot into an in-memory journal, with VFS
+     crashed once mid-workload inside a window, and read back the
+     decoded events: every view below is a fold over them. *)
+  let c =
+    match
+      Result.bind
+        (Runspec.make_header ~seed ~workload:"workgen" ~crash:"vfs" ())
+        Flight.capture
+    with
+    | Ok c -> c
+    | Error m -> failwith m
   in
-  (* Crash VFS once, mid-workload, inside a window. *)
-  let fired = ref false in
-  Kernel.set_fault_hook (System.kernel sys)
-    (Some
-       (fun site ->
-          if (not !fired)
-             && site.Kernel.site_ep = Endpoint.vfs
-             && site.Kernel.site_handler = Some Message.Tag.T_open
-          then begin
-            fired := true;
-            Some (Kernel.F_crash "demo fault in open()")
-          end
-          else None));
-  let halt = System.run sys ~root:(Workgen.generate ~seed ()) in
+  let sys = c.Flight.cap_system in
+  let events = Array.to_list c.Flight.cap_events in
   Printf.printf "\nrun: %s (%d crashes, %d recoveries)\n"
-    (Kernel.halt_to_string halt)
+    (Kernel.halt_to_string c.Flight.cap_halt)
     (Kernel.crashes (System.kernel sys))
     (Kernel.restarts (System.kernel sys));
   print_endline "last events:";
-  List.iter (fun l -> print_endline ("  " ^ l)) (Tracer.timeline tracer);
+  let n = Array.length c.Flight.cap_events in
+  List.iter (fun l -> print_endline ("  " ^ l))
+    (Replay.aligned
+       (Array.to_list
+          (Array.sub c.Flight.cap_events (max 0 (n - 24)) (min n 24))));
   (match Mfs.check_invariants (System.mfs sys) ~bdev:(System.bdev sys) with
    | Ok () -> print_endline "\nfsck: clean — block conservation holds"
    | Error m -> Printf.printf "\nfsck: CORRUPT: %s\n" m);
   (* Span forest: show the trees that contain recovery work. *)
-  let events = Obs_collector.events collector in
   let spans = Span.build events in
   let recovering =
     List.filter
@@ -62,13 +53,15 @@ let () =
       spans
   in
   Printf.printf "\n%d events folded into %d spans; trees with recovery:\n"
-    (Obs_collector.count collector) (Span.count spans);
+    n (Span.count spans);
   List.iter (fun l -> print_endline ("  " ^ l))
     (Span.render_tree recovering);
   (* Latency / recovery / metrics tables. *)
-  Obs_collector.snapshot_server_stats metrics (System.kernel sys);
+  let kernel = System.kernel sys in
   print_newline ();
-  print_endline (Obs_report.render ~metrics ~kernel:(System.kernel sys) spans);
+  print_endline
+    (Obs_report.render ~metrics:(Obs_report.metrics ~kernel events) ~kernel
+       spans);
   (* Perfetto export. *)
   let path = "observability_trace.json" in
   let oc = open_out path in

@@ -5,6 +5,67 @@ type recording = {
   rec_snapshots : int;
 }
 
+type capture = {
+  cap_system : System.t;
+  cap_halt : Kernel.halt;
+  cap_events : Kernel.event array;
+  cap_boot : int;
+}
+
+let capture ?prepare ?profiler ?telemetry header =
+  match Runspec.of_header header with
+  | Error m -> Error m
+  | Ok spec ->
+    let w = Journal.to_memory header in
+    (* [prepare] runs once boot is over, so the records written by then
+       are the boot traffic. *)
+    let boot = ref 0 in
+    let prepare sys =
+      boot := Journal.records_written w;
+      Option.iter (fun f -> f sys) prepare
+    in
+    let sys, halt = Runspec.run ~journal:w ?profiler ?telemetry ~prepare spec in
+    Journal.close w;
+    Result.map
+      (fun (_, events) ->
+         { cap_system = sys; cap_halt = halt; cap_events = events;
+           cap_boot = !boot })
+      (Journal.read_string (Journal.contents w))
+
+(* The bounded recorder behind [record ~ring]: the last [capacity]
+   events, frozen into a snapshot at each crash so the history leading
+   up to it survives the recovery traffic that keeps evicting slots.
+   It holds at most [capacity] events plus one snapshot. *)
+type ring = {
+  slots : Kernel.event array;
+  mutable next : int;
+  mutable seen : int;
+  mutable snapshot : Kernel.event list;  (* oldest first *)
+  mutable snapshots : int;
+}
+
+let ring_create capacity =
+  { slots =
+      Array.make (max 1 capacity)
+        (Kernel.E_halt { time = 0; halt = Kernel.H_hang });
+    next = 0; seen = 0; snapshot = []; snapshots = 0 }
+
+(* Oldest first; a ring that has not wrapped yet holds [seen] events. *)
+let ring_events r =
+  let cap = Array.length r.slots in
+  let n = min r.seen cap in
+  List.init n (fun i -> r.slots.((r.next - n + i + cap) mod cap))
+
+let ring_push r ev =
+  r.slots.(r.next) <- ev;
+  r.next <- (r.next + 1) mod Array.length r.slots;
+  r.seen <- r.seen + 1;
+  match ev with
+  | Kernel.E_crash _ ->
+    r.snapshot <- ring_events r;
+    r.snapshots <- r.snapshots + 1
+  | _ -> ()
+
 (* Sidecar indexing at record time is a post-pass over the encoded
    bytes — the same [Journal.build_index] the [osiris index] rebuild
    runs, so the two paths cannot produce different sidecars. The
@@ -55,16 +116,11 @@ let record ~path ?ring ?costs ?(index = true) header =
            rec_bytes = Journal.bytes_written w;
            rec_snapshots = 0 }
      | Some capacity ->
-       let t = Tracer.create ~capacity () in
-       Tracer.set_snapshot_on t
-         (Some (function Kernel.E_crash _ -> true | _ -> false));
-       let _, halt = Runspec.run ?costs ~event_hook:(Tracer.record t) spec in
-       let snapshots = Tracer.snapshots_taken t in
+       let r = ring_create capacity in
+       let _, halt = Runspec.run ?costs ~event_hook:(ring_push r) spec in
        (* Spill the crash snapshot — or, with no crash, the final ring
           contents, so the run's tail is preserved either way. *)
-       let events =
-         if snapshots > 0 then Tracer.last_snapshot t else Tracer.events t
-       in
+       let events = if r.snapshots > 0 then r.snapshot else ring_events r in
        let encoded = Journal.of_events header events in
        (try
           Out_channel.with_open_bin path (fun oc ->
@@ -76,7 +132,7 @@ let record ~path ?ring ?costs ?(index = true) header =
               { rec_halt = halt;
                 rec_records = List.length events;
                 rec_bytes = String.length encoded;
-                rec_snapshots = snapshots }
+                rec_snapshots = r.snapshots }
         with Sys_error m -> Error m))
 
 let replay_exec ?costs header =

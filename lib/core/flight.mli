@@ -6,9 +6,11 @@
     run itself is a {!Runspec} descriptor, read from the journal header
     with {!Runspec.of_header} and executed by {!Runspec.run}. This
     module adds only the observers: the journal writer or last-N ring
-    on record, the stream diff on replay. The [osiris record]/[replay]
-    subcommands are thin wrappers over these entry points, so tests
-    exercise exactly what the CLI ships.
+    on record, the in-memory journal on {!capture}, the stream diff on
+    replay. The [osiris record]/[replay] subcommands are thin wrappers
+    over these entry points, and every CLI command that reads a run's
+    events reads them from {!capture}, so tests exercise exactly what
+    the CLI ships.
 
     A run is re-executable iff everything that determines it is in the
     header, which is what {!Runspec.to_header} guarantees: seed, arch,
@@ -31,11 +33,12 @@ val record :
   (recording, string) result
 (** Execute the run the header describes, journaling to [path]. Full
     fidelity by default: every event streams to disk as it happens.
-    [ring] bounds memory instead: the last-N events ride a tracer ring
-    whose contents are frozen at each crash ({!Tracer.set_snapshot_on})
-    and spilled to [path] at halt — newest crash wins, and with no
-    crash the final ring contents are spilled, so the tail of the run
-    is always preserved.
+    [ring] bounds memory instead: the last-N events ride a ring whose
+    contents are frozen at each crash (the crash is the snapshot's
+    newest event) and spilled to [path] at halt — newest crash wins,
+    and with no crash the final ring contents are spilled, so the tail
+    of the run is always preserved. The ring holds at most [ring]
+    events plus one snapshot.
 
     [index] (default true) writes the seekable sidecar block index to
     [path ^ Journal.index_suffix] after the journal closes — identical
@@ -43,6 +46,28 @@ val record :
     execution cost table {e without} changing the header's fingerprint:
     the perturbed-cost fixture, producing a journal whose events
     diverge from what its header re-executes to. *)
+
+type capture = {
+  cap_system : System.t;
+  cap_halt : Kernel.halt;
+  cap_events : Kernel.event array;
+      (** The decoded journal: every event from the first boot event to
+          the halt. *)
+  cap_boot : int;  (** Index of the first post-boot event. *)
+}
+
+val capture :
+  ?prepare:(System.t -> unit) ->
+  ?profiler:Profiler.t ->
+  ?telemetry:Timeseries.t ->
+  Journal.header ->
+  (capture, string) result
+(** Execute the run the header describes ({!Runspec.run}, which the
+    optional arguments are passed to) with a {!Journal.to_memory}
+    writer as the kernel's capture, and decode the journal with
+    {!Journal.read_string}. The events are exactly what {!record}
+    would write for the header. [Error] when {!Runspec.of_header}
+    rejects the header. *)
 
 val replay :
   ?costs:Costs.t ->

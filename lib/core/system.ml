@@ -79,8 +79,7 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
   in
   let kernel = Kernel.create cfg in
   (* Installed before boot so observers see boot traffic too; a
-     capture attached after build (e.g. Tracer.attach) only sees the
-     run. *)
+     capture attached after build only sees the run. *)
   Kernel.set_capture kernel
     (match journal, event_hook with
      | Some w, None -> Some (Journal.capture w)

@@ -41,9 +41,9 @@ val build :
     snapshots taken. The prototype test suite and the Unixbench
     programs are always registered; add more via [extra_register].
     [event_hook] is installed {e before} boot as the kernel's capture
-    ({!Capture.of_hook}), so observers (e.g. an [Obs_collector])
-    capture boot traffic; attaching after [build] misses it. Events
-    reach the hook in order, batched, and all of them by the time
+    ({!Capture.of_hook}), so observers (e.g. [Flight.replay]'s live
+    stream) capture boot traffic; attaching after [build] misses it.
+    Events reach the hook in order, batched, and all of them by the time
     [boot] or [run] returns. [journal] installs a flight-recorder
     writer the same way, as the kernel's capture ([Journal.capture]),
     so a journal is a complete record from the first boot event —

@@ -13,7 +13,8 @@
     Two consumers exist: the journal writer, whose drain grows the log
     and batch-encodes it into the wire format ([Journal.capture]), and
     {!of_hook}, which decodes the log back into [Kernel.event] values for
-    closure observers (tracer, collector, replay, health). *)
+    closure observers (the flight recorder's crash ring, replay's live
+    stream, tests' reference streams). *)
 
 (** {1 The log}
 

@@ -16,46 +16,39 @@ type comp_state = {
   mutable hs_mttr_n : int;
 }
 
-type t = {
-  cfg : config;
-  comps : (int, comp_state) Hashtbl.t;
-}
-
-let create ?(config = default_config) () =
-  { cfg = config; comps = Hashtbl.create 16 }
-
-let state_of t ep =
-  match Hashtbl.find_opt t.comps ep with
-  | Some s -> s
-  | None ->
-    let s =
-      { hs_crashes = 0;
-        hs_restarts = 0;
-        hs_crash_times = [];
-        hs_pending_crash = -1;
-        hs_mttr_total = 0;
-        hs_mttr_n = 0 }
-    in
-    Hashtbl.replace t.comps ep s;
-    s
-
-(* Feed from the kernel event stream: compose with any other consumer
-   (collector, tracer) in the same event hook. *)
-let observe t = function
-  | Kernel.E_crash { time; ep; _ } ->
-    let s = state_of t ep in
-    s.hs_crashes <- s.hs_crashes + 1;
-    s.hs_crash_times <- time :: s.hs_crash_times;
-    s.hs_pending_crash <- time
-  | Kernel.E_restart { time; ep; _ } ->
-    let s = state_of t ep in
-    s.hs_restarts <- s.hs_restarts + 1;
-    if s.hs_pending_crash >= 0 then begin
-      s.hs_mttr_total <- s.hs_mttr_total + (max 0 (time - s.hs_pending_crash));
-      s.hs_mttr_n <- s.hs_mttr_n + 1;
-      s.hs_pending_crash <- -1
-    end
-  | _ -> ()
+(* Per-compartment crash/restart tallies folded over the event stream;
+   only crash and restart events count. *)
+let fold_events events =
+  let comps = Hashtbl.create 16 in
+  let state_of ep =
+    match Hashtbl.find_opt comps ep with
+    | Some s -> s
+    | None ->
+      let s =
+        { hs_crashes = 0; hs_restarts = 0; hs_crash_times = [];
+          hs_pending_crash = -1; hs_mttr_total = 0; hs_mttr_n = 0 }
+      in
+      Hashtbl.replace comps ep s;
+      s
+  in
+  List.iter
+    (function
+      | Kernel.E_crash { time; ep; _ } ->
+        let s = state_of ep in
+        s.hs_crashes <- s.hs_crashes + 1;
+        s.hs_crash_times <- time :: s.hs_crash_times;
+        s.hs_pending_crash <- time
+      | Kernel.E_restart { time; ep; _ } ->
+        let s = state_of ep in
+        s.hs_restarts <- s.hs_restarts + 1;
+        if s.hs_pending_crash >= 0 then begin
+          s.hs_mttr_total <- s.hs_mttr_total + (max 0 (time - s.hs_pending_crash));
+          s.hs_mttr_n <- s.hs_mttr_n + 1;
+          s.hs_pending_crash <- -1
+        end
+      | _ -> ())
+    events;
+  state_of
 
 type status = Healthy | Degraded | Crash_looping | Failed
 
@@ -81,19 +74,12 @@ type comp = {
   co_status : status;
 }
 
-let empty_state =
-  { hs_crashes = 0; hs_restarts = 0; hs_crash_times = [];
-    hs_pending_crash = -1; hs_mttr_total = 0; hs_mttr_n = 0 }
-
-let snapshot ?profiler ?budget_for t kernel =
+let snapshot ?(config = default_config) ?profiler ?budget_for events kernel =
   let now = Kernel.now kernel in
+  let state_of = fold_events events in
   List.map
     (fun ep ->
-       let s =
-         match Hashtbl.find_opt t.comps ep with
-         | Some s -> s
-         | None -> empty_state
-       in
+       let s = state_of ep in
        let threshold =
          match budget_for with
          | Some f ->
@@ -102,10 +88,10 @@ let snapshot ?profiler ?budget_for t kernel =
               unbudgeted compartment uses the global default. *)
            (match f ep with
             | Some b -> max 2 b
-            | None -> t.cfg.hc_crash_loop_n)
-         | None -> t.cfg.hc_crash_loop_n
+            | None -> config.hc_crash_loop_n)
+         | None -> config.hc_crash_loop_n
        in
-       let horizon = now - t.cfg.hc_crash_loop_window in
+       let horizon = now - config.hc_crash_loop_window in
        let recent =
          List.length (List.filter (fun ts -> ts >= horizon) s.hs_crash_times)
        in

@@ -1,7 +1,7 @@
 (** Recovery-health watchdog.
 
-    Consumes the kernel event stream (crash / restart events) and
-    reports per-compartment recovery health: MTTR (mean virtual
+    Folds a run's event stream (crash / restart events) and reports
+    per-compartment recovery health: MTTR (mean virtual
     cycles from crash to the matching restart), recovery-success
     ratio, and crash-loop detection over a sliding window of virtual
     time. With a profiler attached it also reports overhead
@@ -17,14 +17,6 @@ type config = {
 }
 
 val default_config : config
-
-type t
-
-val create : ?config:config -> unit -> t
-
-val observe : t -> Kernel.event -> unit
-(** Feed every kernel event; only crash/restart events are consumed,
-    so composing with other consumers in one hook is cheap. *)
 
 type status =
   | Healthy        (** Alive, every crash recovered, no loop. *)
@@ -56,9 +48,13 @@ type comp = {
 }
 
 val snapshot :
-  ?profiler:Profiler.t -> ?budget_for:(Endpoint.t -> int option) ->
-  t -> Kernel.t -> comp list
-(** One row per registered server, in registration order.
+  ?config:config -> ?profiler:Profiler.t ->
+  ?budget_for:(Endpoint.t -> int option) ->
+  Kernel.event list -> Kernel.t -> comp list
+(** One row per registered server, in registration order, from the
+    run's oldest-first [events] and the kernel at the end of the run
+    (liveness, policy names, and the clock the sliding window ends
+    at).
     [budget_for] (e.g. [Sysconf.budget_for conf]) supplies per-
     compartment restart budgets reused as crash-loop thresholds: a
     compartment that has burned its whole budget inside one window is

@@ -39,11 +39,14 @@
     bytes-per-event gates. {!records_written} and {!bytes_written}
     force the pending encode sweep, so they are exact at any point.
 
-    Two writer modes cover the recording spectrum:
+    Three recording modes cover the spectrum:
     - {!to_file} streams every record (full fidelity, unbounded);
-    - bounded-memory ring recording reuses {!Tracer}'s last-N ring
-      with {!Tracer.set_snapshot_on} and serializes the snapshot via
-      {!of_events} — the mid-run crash-history spill. *)
+    - {!to_memory} keeps the encoded journal in memory, which
+      [Flight.capture] decodes back into the event array every CLI
+      event view reads;
+    - bounded-memory ring recording ([Flight.record ~ring]) keeps the
+      last N events, freezes them at each crash, and serializes the
+      snapshot via {!of_events} — the mid-run crash-history spill. *)
 
 type header = {
   jh_version : int;           (** {!version} at write time. *)
@@ -70,7 +73,8 @@ val to_file : path:string -> header -> writer
 
 val to_memory : header -> writer
 (** Accumulate the encoded journal in memory; read it back with
-    {!contents}. Used by tests and the replay property. *)
+    {!contents}. [Flight.capture] records every CLI event view's run
+    this way. *)
 
 val write : writer -> Kernel.event -> unit
 (** Append one event value to the writer's capture log
@@ -100,8 +104,8 @@ val bytes_written : writer -> int
 
 val of_events : header -> Kernel.event list -> string
 (** Encode a complete journal from an in-memory event list — the ring
-    spill: feed it {!Tracer.last_snapshot} to persist the last-N
-    history captured at a crash. *)
+    spill: [Flight.record ~ring] feeds it the last-N history captured
+    at a crash. *)
 
 (** {1 Reading}
 

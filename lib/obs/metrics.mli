@@ -12,7 +12,7 @@
 
     This replaces ad-hoc counter plumbing: consumers that used to grow
     a field in [Kernel.t] per quantity can register a series instead,
-    and [Obs_collector.snapshot_server_stats] republishes the kernel's
+    and [Obs_report.metrics] republishes the kernel's
     per-server lifetime counters (checkpoint work, rollback bytes,
     dedup hits, ...) as first-class gauges. *)
 

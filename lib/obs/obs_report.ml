@@ -81,6 +81,78 @@ let metrics_table m =
       ~align:[ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right ]
       rows
 
+(* Kernel-wide and per-server lifetime counters, republished as gauges
+   named ["<server>.<field>"] next to the event-derived series. Shed
+   exits (status 75) are not in the event stream — the exit status
+   rides the PM call payload — so they come from the kernel's own
+   counter. *)
+let snapshot_server_stats m kernel =
+  Metrics.set (Metrics.gauge m "osiris.shed_exits") (Kernel.shed_exits kernel);
+  List.iter
+    (fun ep ->
+       let ss = Kernel.server_stats kernel ep in
+       let g field v = Metrics.set (Metrics.gauge m (ss.Kernel.ss_name ^ "." ^ field)) v in
+       g "ops_total" ss.Kernel.ss_ops_total;
+       g "ops_in_window" ss.Kernel.ss_ops_in_window;
+       g "busy_cycles" ss.Kernel.ss_busy_cycles;
+       g "logged_stores" ss.Kernel.ss_logged_stores;
+       g "skipped_stores" ss.Kernel.ss_skipped_stores;
+       g "deduped_stores" ss.Kernel.ss_deduped_stores;
+       g "undo_peak_bytes" ss.Kernel.ss_undo_peak_bytes;
+       g "rollback_bytes" ss.Kernel.ss_rollback_bytes;
+       g "restore_bytes_saved" ss.Kernel.ss_restore_bytes_saved;
+       g "window_opens" ss.Kernel.ss_window_opens;
+       g "policy_closes" ss.Kernel.ss_policy_closes;
+       g "restarts" ss.Kernel.ss_restarts)
+    (Kernel.server_endpoints kernel)
+
+let metrics ~kernel events =
+  let m = Metrics.create () in
+  (* The telemetry summary gauges ([Timeseries.publish]) and the query
+     scan gauges ([Query.publish]) are registered at 0, so the dump
+     lists the same name set whether or not a sampler or query ran. *)
+  List.iter
+    (fun name -> ignore (Metrics.gauge m name))
+    [ "osiris.timeline.interval"; "osiris.timeline.sources";
+      "osiris.timeline.samples"; "osiris.timeline.retained";
+      "osiris.timeline.dropped"; "osiris.query.blocks_scanned";
+      "osiris.query.blocks_skipped"; "osiris.query.records_decoded" ];
+  let c name = Metrics.counter m ("osiris." ^ name) in
+  let msgs = c "msgs_delivered" and calls = c "calls"
+  and replies = c "replies" and window_opens = c "window_opens"
+  and window_closes = c "window_closes" and policy_closes = c "policy_closes"
+  and checkpoints = c "checkpoints" and checkpoint_cycles = c "checkpoint_cycles"
+  and stores_logged = c "stores_logged" and store_bytes = c "store_bytes_logged"
+  and kcalls = c "kcalls" and crashes = c "crashes"
+  and hangs = c "hangs_detected" and rollbacks = c "rollbacks"
+  and rollback_bytes = c "rollback_bytes" and restarts = c "restarts" in
+  List.iter
+    (function
+      | Kernel.E_msg { call; _ } ->
+        Metrics.incr msgs;
+        if call then Metrics.incr calls
+      | Kernel.E_reply _ -> Metrics.incr replies
+      | Kernel.E_window_open _ -> Metrics.incr window_opens
+      | Kernel.E_window_close { policy; _ } ->
+        Metrics.incr window_closes;
+        if policy then Metrics.incr policy_closes
+      | Kernel.E_checkpoint { cycles; _ } ->
+        Metrics.incr checkpoints;
+        Metrics.add checkpoint_cycles cycles
+      | Kernel.E_store_logged { bytes; _ } ->
+        Metrics.incr stores_logged;
+        Metrics.add store_bytes bytes
+      | Kernel.E_kcall _ -> Metrics.incr kcalls
+      | Kernel.E_crash _ -> Metrics.incr crashes
+      | Kernel.E_hang_detected _ -> Metrics.incr hangs
+      | Kernel.E_rollback_begin _ -> Metrics.incr rollbacks
+      | Kernel.E_rollback_end { bytes; _ } -> Metrics.add rollback_bytes bytes
+      | Kernel.E_restart _ -> Metrics.incr restarts
+      | Kernel.E_halt _ | Kernel.E_spawn _ -> ())
+    events;
+  snapshot_server_stats m kernel;
+  m
+
 let render ?metrics ~kernel spans =
   let sections =
     [ handler_table spans;

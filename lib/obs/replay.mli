@@ -80,9 +80,19 @@ val run :
     to the header's, i.e. no mismatch). *)
 
 val pp_event : Kernel.event -> string
-(** Compact one-line event rendering, shared with [Postmortem]
-    ([Tracer.pp_event] lives above this library in the dependency
-    order). *)
+(** Compact one-line event rendering, shared with [Postmortem]. *)
+
+val pp_aligned : Kernel.event -> string
+(** One event as an aligned timeline line: time right-aligned in 10
+    columns, endpoint names padded to 8 so the arrows line up — the
+    [osiris events] format. *)
+
+val aligned : ?only:Endpoint.t -> Kernel.event list -> string list
+(** {!pp_aligned} over a stream, optionally filtered to events touching
+    the given endpoint. The [only] filter deliberately always lets
+    [E_halt] through: a halt is a system-wide event that terminates
+    every per-endpoint story, so a filtered view still ends with the
+    run's outcome. *)
 
 val exit_code : outcome -> int
 (** 0 for a byte-identical replay, 2 on divergence — the

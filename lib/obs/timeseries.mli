@@ -154,5 +154,5 @@ val to_json : t -> string
 val publish : t -> Metrics.t -> unit
 (** Set the [osiris.timeline.*] summary gauges ([interval], [sources],
     [samples], [retained], [dropped]) — pre-registered by
-    [Obs_collector] so [Metrics.dump] stays deterministically sorted
+    [Obs_report.metrics] so [Metrics.dump] stays deterministically sorted
     whether or not telemetry ran. *)

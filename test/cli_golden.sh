@@ -10,10 +10,6 @@ cli=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 cd "$dir"
-# Artifact paths must come from the defaults, not the caller's env.
-unset OSIRIS_JOURNAL OSIRIS_TIMELINE_JSON OSIRIS_PROFILE_JSON \
-  OSIRIS_PROFILE_FOLDED OSIRIS_HEALTH_JSON OSIRIS_WHY_JSON \
-  OSIRIS_SURVIVABILITY_JSON
 export LC_ALL=C
 run() {
   echo "### osiris $*"

@@ -490,10 +490,9 @@ let test_events_carry_compartment_policy () =
     Sysconf.assign (Sysconf.uniform Policy.enhanced) Endpoint.ds
       Policy.stateless
   in
-  let collector = Obs_collector.create () in
+  let events = ref [] in
   let sys =
-    System.build ~seed:7
-      ~event_hook:(Obs_collector.record collector) conf
+    System.build ~seed:7 ~event_hook:(fun ev -> events := ev :: !events) conf
   in
   let fired = ref false in
   Kernel.set_fault_hook (System.kernel sys)
@@ -510,7 +509,7 @@ let test_events_carry_compartment_policy () =
           else None));
   let (_ : Kernel.halt) = System.run sys ~root:Testsuite.driver in
   Alcotest.(check bool) "fault fired" true !fired;
-  let events = Obs_collector.events collector in
+  let events = List.rev !events in
   let crash_policies =
     List.filter_map
       (function

@@ -7,9 +7,15 @@
 
 module Stats = Osiris_util.Stats
 
-(* Run the workload a header describes with a collector hooked from
-   boot and both kernel charging facilities on; return the events and
-   the kernel for cross-checks. *)
+(* A live event stream: [hook] feeds it, [events ()] reads it back
+   oldest first. *)
+let stream () =
+  let evs = ref [] in
+  ((fun ev -> evs := ev :: !evs), fun () -> List.rev !evs)
+
+(* Run the workload a header describes with a stream hooked from boot
+   and both kernel charging facilities on; return the events and the
+   kernel for cross-checks. *)
 let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
     ?(crash = "none") ?(count = 1) ~seed () =
   let header =
@@ -19,7 +25,7 @@ let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
     | Ok h -> h
     | Error m -> Alcotest.fail m
   in
-  let c = Obs_collector.create () in
+  let hook, events = stream () in
   let kr = ref None in
   ignore
     (Runspec.exec
@@ -29,8 +35,8 @@ let collect_run ?(spec = "enhanced") ?(workload = "quickstart")
            Kernel.enable_request_counts k;
            kr := Some k)
        header
-       ~hook:(Obs_collector.record c));
-  (header, Obs_collector.events c, Option.get !kr)
+       ~hook);
+  (header, events (), Option.get !kr)
 
 let check_conserved what (r : Critpath.result) =
   List.iter
@@ -62,10 +68,11 @@ let test_conservation_crash_storm () =
   (* A mid-storm crash under injected load: recovery episodes overlap
      live request waits, exercising the collateral/rollback/restart
      cuts. *)
-  let sys = System.build ~seed:7 (Sysconf.uniform Policy.enhanced) in
+  let hook, events = stream () in
+  let sys =
+    System.build ~seed:7 ~event_hook:hook (Sysconf.uniform Policy.enhanced)
+  in
   let k = System.kernel sys in
-  let c = Obs_collector.create () in
-  Obs_collector.attach c k;
   let reqs =
     Loadgen.inject k
       { Loadgen.default_spec with l_seed = 7; l_requests = 30; l_rate = 30_000 }
@@ -73,7 +80,7 @@ let test_conservation_crash_storm () =
   Runspec.arm k [ Runspec.Crash_replies (Endpoint.vfs, 1) ];
   ignore (Kernel.run k);
   ignore (Loadgen.collect k reqs);
-  let r = Critpath.analyze (Obs_collector.events c) in
+  let r = Critpath.analyze (events ()) in
   Alcotest.(check bool) "storm requests analyzed" true
     (List.length r.Critpath.cr_requests >= 30);
   check_conserved "crash storm" r
@@ -101,9 +108,9 @@ let prop_conservation =
        match Runspec.make_header ~seed ~spec ~workload ~crash () with
        | Error _ -> QCheck.assume_fail ()
        | Ok header ->
-         let c = Obs_collector.create () in
-         ignore (Runspec.exec header ~hook:(Obs_collector.record c));
-         let r = Critpath.analyze (Obs_collector.events c) in
+         let hook, events = stream () in
+         ignore (Runspec.exec header ~hook);
+         let r = Critpath.analyze (events ()) in
          List.for_all
            (fun b -> Critpath.breakdown_sum b = Critpath.total b)
            r.Critpath.cr_requests)
@@ -113,11 +120,10 @@ let prop_conservation =
 let test_journal_parity () =
   let header, events, _ = collect_run ~seed:42 ~crash:"ds" () in
   let live = Critpath.analyze events in
-  let encoded = Journal.of_events header events in
-  match Journal.read_string encoded with
+  match Flight.capture header with
   | Error m -> Alcotest.fail m
-  | Ok (_, decoded) ->
-    let replayed = Critpath.analyze (Array.to_list decoded) in
+  | Ok c ->
+    let replayed = Critpath.analyze (Array.to_list c.Flight.cap_events) in
     Alcotest.(check bool)
       "journal attribution structurally identical to live" true
       (live = replayed)
@@ -125,15 +131,16 @@ let test_journal_parity () =
 (* ---------------- session spans (arrival anchoring) --------------- *)
 
 let test_session_spans () =
-  let sys = System.build ~seed:11 (Sysconf.uniform Policy.enhanced) in
+  let hook, events = stream () in
+  let sys =
+    System.build ~seed:11 ~event_hook:hook (Sysconf.uniform Policy.enhanced)
+  in
   let k = System.kernel sys in
-  let c = Obs_collector.create () in
-  Obs_collector.attach c k;
   let spec = { Loadgen.default_spec with l_seed = 11; l_requests = 20 } in
   ignore (Loadgen.inject k spec);
   Runspec.arm k [ Runspec.Crash_replies (Endpoint.vfs, 1) ];
   ignore (Kernel.run k);
-  let events = Obs_collector.events c in
+  let events = events () in
   let spans = Span.build events in
   let sessions =
     List.filter (fun s -> s.Span.sp_kind = Span.Session) spans

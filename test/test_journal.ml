@@ -1,6 +1,8 @@
 (* Tests for the flight recorder: journal codec round-trips, damaged
    input handling (truncation, bit flips — Result, never an escaped
-   exception), tracer ring-snapshot-on-crash, record->replay
+   exception), the event recorder ([Flight.capture]'s stream, which
+   the "tracer" cases check, and the last-N ring with its
+   snapshot-on-crash), record->replay
    determinism (exact seed-42 fixture plus a QCheck sweep over
    seeds/specs/crash targets), the intentional cost-perturbation
    divergence fixture, and causal postmortem attribution. *)
@@ -324,54 +326,6 @@ let test_read_file_missing () =
     (Journal.read_file "/nonexistent/osiris-test.journal")
 
 (* ------------------------------------------------------------------ *)
-(* Tracer ring-snapshot-on-crash                                       *)
-(* ------------------------------------------------------------------ *)
-
-let wopen i = Kernel.E_window_open { time = i; ep = ds; rid = i }
-
-let crash_ev i =
-  Kernel.E_crash { time = i; ep = ds; reason = "snap"; window_open = true;
-                   rid = i; policy = "enhanced" }
-
-let is_crash = function Kernel.E_crash _ -> true | _ -> false
-
-let test_snapshot_frozen_at_crash () =
-  let t = Tracer.create ~capacity:4 () in
-  Tracer.set_snapshot_on t (Some is_crash);
-  for i = 1 to 6 do Tracer.record t (wopen i) done;
-  Tracer.record t (crash_ev 7);
-  (* recovery traffic keeps evicting ring slots after the crash... *)
-  for i = 8 to 20 do Tracer.record t (wopen i) done;
-  Alcotest.(check int) "one snapshot" 1 (Tracer.snapshots_taken t);
-  (* ...but the snapshot preserved the window leading up to it *)
-  Alcotest.(check bool) "snapshot is the pre-crash ring" true
-    (Tracer.last_snapshot t = [ wopen 4; wopen 5; wopen 6; crash_ev 7 ]);
-  Alcotest.(check bool) "crash already evicted from the live ring" true
-    (not (List.exists is_crash (Tracer.events t)))
-
-let test_snapshot_newest_crash_wins () =
-  let t = Tracer.create ~capacity:4 () in
-  Tracer.set_snapshot_on t (Some is_crash);
-  Tracer.record t (wopen 1);
-  Tracer.record t (crash_ev 2);
-  Tracer.record t (wopen 3);
-  Tracer.record t (crash_ev 4);
-  Alcotest.(check int) "two snapshots" 2 (Tracer.snapshots_taken t);
-  Alcotest.(check bool) "newest crash wins" true
-    (Tracer.last_snapshot t = [ wopen 1; crash_ev 2; wopen 3; crash_ev 4 ]);
-  Tracer.clear t;
-  Alcotest.(check int) "clear resets count" 0 (Tracer.snapshots_taken t);
-  Alcotest.(check bool) "clear drops the snapshot" true
-    (Tracer.last_snapshot t = [])
-
-let test_no_predicate_no_snapshot () =
-  let t = Tracer.create ~capacity:4 () in
-  Tracer.record t (crash_ev 1);
-  Alcotest.(check int) "no predicate, no snapshot" 0
-    (Tracer.snapshots_taken t);
-  Alcotest.(check bool) "empty snapshot" true (Tracer.last_snapshot t = [])
-
-(* ------------------------------------------------------------------ *)
 (* Record -> replay: the seed-42 acceptance fixture                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -379,6 +333,8 @@ let with_temp_journal f =
   let path = Filename.temp_file "osiris_test" ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
+
+let is_crash = function Kernel.E_crash _ -> true | _ -> false
 
 let seed42_header () =
   match Runspec.make_header ~crash:"ds" () with
@@ -418,7 +374,17 @@ let test_capture_write_identity () =
       Alcotest.(check int) "same size" (String.length captured)
         (String.length written);
       Alcotest.(check bool) "byte-identical journals" true
-        (String.equal captured written))
+        (String.equal captured written);
+      (* [Flight.capture], what the CLI's event views read, hands back
+         exactly the live stream, boot included. *)
+      match Flight.capture header with
+      | Error m -> Alcotest.fail ("capture: " ^ m)
+      | Ok c ->
+        Alcotest.(check bool) "captured array = live hooked stream" true
+          (c.Flight.cap_events = Array.of_list (List.rev !events));
+        Alcotest.(check bool) "boot precedes the first post-boot event" true
+          (c.Flight.cap_boot > 0
+           && c.Flight.cap_boot < Array.length c.Flight.cap_events))
 
 let test_record_seed42 () =
   let r, h, events = Lazy.force seed42_journal in
@@ -539,33 +505,156 @@ let prop_record_replay_deterministic =
                 && outcome.Replay.rp_replayed = Array.length events)))
 
 (* ------------------------------------------------------------------ *)
-(* Ring mode: crash history retrievable without full-fidelity cost     *)
+(* The event recorder: Flight.capture's stream and the last-N ring     *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_mode_crash_snapshot () =
+let make_header ?(workload = "quickstart") ?(crash = "none") ?(count = 1) ()
+    =
+  match Runspec.make_header ~workload ~crash ~crash_count:count () with
+  | Ok h -> h
+  | Error m -> Alcotest.fail ("make_header: " ^ m)
+
+let captured header =
+  match Flight.capture header with
+  | Ok c -> c
+  | Error m -> Alcotest.fail ("capture: " ^ m)
+
+(* Each process runs on its own clock, so the stream is ordered per
+   sender: the user program's requests carry nondecreasing times. *)
+let test_capture_ordering () =
+  let times =
+    List.filter_map
+      (function
+        | Kernel.E_msg { time; src; _ } when src = Endpoint.first_user ->
+          Some time
+        | _ -> None)
+      (Array.to_list (captured (make_header ())).Flight.cap_events)
+  in
+  Alcotest.(check bool) "nonempty" true (times <> []);
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> a <= b && sorted rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "nondecreasing timestamps" true (sorted times)
+
+let test_capture_halt_last () =
+  let evs = (captured (make_header ())).Flight.cap_events in
+  match evs.(Array.length evs - 1) with
+  | Kernel.E_halt { halt = Kernel.H_completed 0; _ } -> ()
+  | _ -> Alcotest.fail "expected a final halt event"
+
+let test_capture_crash_restart () =
+  let c = captured (seed42_header ()) in
+  Alcotest.(check bool) "run survived" true
+    (c.Flight.cap_halt = Kernel.H_completed 0);
+  let evs = Array.to_list c.Flight.cap_events in
+  Alcotest.(check (list bool)) "one in-window ds crash" [ true ]
+    (List.filter_map
+       (function
+         | Kernel.E_crash { ep; window_open; _ } when ep = ds ->
+           Some window_open
+         | _ -> None)
+       evs);
+  Alcotest.(check bool) "restart follows" true
+    (List.exists
+       (function Kernel.E_restart { ep; _ } -> ep = ds | _ -> false)
+       evs)
+
+let test_aligned_filter () =
+  let evs = Array.to_list (captured (make_header ())).Flight.cap_events in
+  let all = Replay.aligned evs in
+  let ds_only = Replay.aligned ~only:ds evs in
+  Alcotest.(check bool) "filter narrows" true
+    (List.length ds_only < List.length all && ds_only <> []);
+  List.iter
+    (fun l ->
+       Alcotest.(check bool) ("names ds or is the halt: " ^ l) true
+         (contains ~needle:"ds" l || contains ~needle:"HALT" l))
+    ds_only
+
+(* Ring mode against the full stream of the same run: the spill is the
+   [ring] events ending at the newest crash or, with no crash, the
+   final [ring] events, oldest first — at most [ring] of them. Returns
+   the full stream and the spill. *)
+let check_ring ~ring header =
+  let full = (captured header).Flight.cap_events in
+  let n = Array.length full in
+  let crashes = List.filter (fun i -> is_crash full.(i)) (List.init n Fun.id) in
+  let stop = match List.rev crashes with i :: _ -> i + 1 | [] -> n in
+  let expected = Array.sub full (max 0 (stop - ring)) (min stop ring) in
   with_temp_journal (fun path ->
-      let header = seed42_header () in
-      match Flight.record ~path ~ring:64 header with
+      match Flight.record ~path ~ring header with
       | Error m -> Alcotest.fail ("ring record: " ^ m)
       | Ok r ->
-        Alcotest.(check int) "one crash snapshot" 1 r.Flight.rec_snapshots;
-        Alcotest.(check bool) "ring bound respected" true
-          (r.Flight.rec_records <= 64);
         (match Journal.read_file path with
          | Error m -> Alcotest.fail ("ring journal: " ^ m)
-         | Ok (_, events) ->
-           let n = Array.length events in
-           Alcotest.(check int) "spilled exactly the snapshot"
-             r.Flight.rec_records n;
-           (* frozen at the crash: the newest event is the E_crash *)
-           Alcotest.(check bool) "snapshot ends at the crash" true
-             (n > 0 && is_crash events.(n - 1));
-           (* and postmortem still works on the partial history *)
-           let report = Postmortem.analyze header events in
-           Alcotest.(check bool) "journal ends before halt" true
-             (report.Postmortem.pm_halt = None);
-           Alcotest.(check int) "crash found" 1
-             (List.length report.Postmortem.pm_crashes)))
+         | Ok (_, spill) ->
+           Alcotest.(check int) "a snapshot per crash" (List.length crashes)
+             r.Flight.rec_snapshots;
+           Alcotest.(check bool) "ring bound respected" true
+             (r.Flight.rec_records <= ring);
+           Alcotest.(check int) "spilled every held event"
+             r.Flight.rec_records (Array.length spill);
+           Alcotest.(check bool) "spill = the window of the full stream" true
+             (spill = expected);
+           (full, spill)))
+
+let test_ring_eviction () =
+  let full, spill = check_ring ~ring:8 (make_header ~workload:"suite" ()) in
+  Alcotest.(check int) "ring bounded" 8 (Array.length spill);
+  Alcotest.(check bool) "more were seen" true (Array.length full > 8)
+
+let test_partial_ring () =
+  let full, spill = check_ring ~ring:100_000 (make_header ()) in
+  Alcotest.(check bool) "an unfilled ring holds the whole run" true
+    (spill = full)
+
+let test_wrapped_ring () =
+  let full, spill = check_ring ~ring:13 (make_header ~workload:"workgen" ()) in
+  let n = Array.length full in
+  Alcotest.(check bool) "newest 13, oldest first" true
+    (spill = Array.sub full (n - 13) 13)
+
+let test_snapshot_frozen_at_crash () =
+  let full, spill = check_ring ~ring:16 (seed42_header ()) in
+  Alcotest.(check bool) "snapshot ends at the crash" true
+    (is_crash spill.(Array.length spill - 1));
+  (* recovery traffic evicted the crash from the final ring... *)
+  let n = Array.length full in
+  Alcotest.(check bool) "crash evicted from the live ring" true
+    (not (Array.exists is_crash (Array.sub full (n - 16) 16)))
+
+let test_snapshot_newest_crash_wins () =
+  let full, spill = check_ring ~ring:16 (make_header ~crash:"ds" ~count:2 ()) in
+  let crashes = List.filter is_crash (Array.to_list full) in
+  Alcotest.(check int) "two crashes in the run" 2 (List.length crashes);
+  Alcotest.(check bool) "the spill ends at the second crash" true
+    (spill.(Array.length spill - 1) = List.nth crashes 1)
+
+let test_no_predicate_no_snapshot () =
+  let full, spill = check_ring ~ring:16 (make_header ()) in
+  let n = Array.length full in
+  Alcotest.(check bool) "no crash: the final tail is spilled" true
+    (spill = Array.sub full (n - 16) 16)
+
+let test_ring_mode_crash_snapshot () =
+  List.iter
+    (fun (ring, header) ->
+       let _, events = check_ring ~ring header in
+       let n = Array.length events in
+       (* frozen at the crash: the newest event is the E_crash *)
+       Alcotest.(check bool) "snapshot ends at the crash" true
+         (n > 0 && is_crash events.(n - 1));
+       (* and postmortem still works on the partial history *)
+       let report = Postmortem.analyze header events in
+       Alcotest.(check bool) "journal ends before halt" true
+         (report.Postmortem.pm_halt = None);
+       Alcotest.(check bool) "crash found" true
+         (report.Postmortem.pm_crashes <> []))
+    [ (64, seed42_header ());
+      (256, seed42_header ());
+      (64, make_header ~crash:"ds" ~count:2 ());
+      (64, make_header ~workload:"workgen" ~crash:"vfs" ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Causal chains and postmortem attribution                            *)
@@ -856,6 +945,14 @@ let () =
             test_crc_error_names_record;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
           Alcotest.test_case "missing file" `Quick test_read_file_missing ] );
+      ( "tracer",
+        [ Alcotest.test_case "ordering" `Quick test_capture_ordering;
+          Alcotest.test_case "halt last" `Quick test_capture_halt_last;
+          Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
+          Alcotest.test_case "crash/restart" `Quick test_capture_crash_restart;
+          Alcotest.test_case "timeline filter" `Quick test_aligned_filter;
+          Alcotest.test_case "partial ring" `Quick test_partial_ring;
+          Alcotest.test_case "wrapped ring" `Quick test_wrapped_ring ] );
       ( "ring",
         [ Alcotest.test_case "snapshot frozen at crash" `Quick
             test_snapshot_frozen_at_crash;

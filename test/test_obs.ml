@@ -4,7 +4,7 @@
    the tree, and the export must stay loadable by Perfetto). *)
 
 (* ------------------------------------------------------------------ *)
-(* Shared driver: the quickstart workload with a collector attached
+(* Shared driver: the quickstart workload with its event stream hooked
    from boot and one crash injected at the first in-window Reply of a
    chosen server — by Reply time the handler's stores are in the undo
    log, so the trace shows logged stores before the crash.             *)
@@ -12,10 +12,11 @@
 
 let run_with_crash ?(policy = Policy.enhanced) ?(crash = Some Endpoint.ds)
     ?(root = Workgen.quickstart) () =
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
+  let events = ref [] in
   let sys =
-    System.build ~event_hook:(Obs_collector.record collector) (Sysconf.uniform policy)
+    System.build
+      ~event_hook:(fun ev -> events := ev :: !events)
+      (Sysconf.uniform policy)
   in
   let kernel = System.kernel sys in
   (match crash with
@@ -35,7 +36,7 @@ let run_with_crash ?(policy = Policy.enhanced) ?(crash = Some Endpoint.ds)
              end
              else None)));
   let halt = System.run sys ~root in
-  (sys, collector, metrics, halt)
+  (sys, List.rev !events, halt)
 
 (* ------------------------------------------------------------------ *)
 (* The exact recovery event sequence                                   *)
@@ -51,7 +52,7 @@ let rec unmatched pattern events =
     if p e then unmatched ps es else unmatched pattern es
 
 let test_crash_event_sequence () =
-  let _sys, collector, _metrics, halt = run_with_crash () in
+  let _sys, events, halt = run_with_crash () in
   Alcotest.(check bool) "run completed" true
     (match halt with Kernel.H_completed _ -> true | _ -> false);
   let ds = Endpoint.ds in
@@ -71,13 +72,12 @@ let test_crash_event_sequence () =
     "window_open -> store_logged -> in-window crash -> rollback begin/end \
      -> restart, in order"
     0
-    (List.length (unmatched pattern (Obs_collector.events collector)))
+    (List.length (unmatched pattern events))
 
 let test_crash_rid_matches_request () =
   (* The E_crash rid is the rid of the request being handled, i.e. the
      rid of a prior call-E_msg into the crashed server. *)
-  let _sys, collector, _metrics, _halt = run_with_crash () in
-  let events = Obs_collector.events collector in
+  let _sys, events, _halt = run_with_crash () in
   let crash_rid =
     List.find_map
       (function Kernel.E_crash { rid; _ } -> Some rid | _ -> None)
@@ -100,8 +100,8 @@ let test_crash_rid_matches_request () =
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_span_nested_under_request () =
-  let _sys, collector, _metrics, _halt = run_with_crash () in
-  let spans = Span.build (Obs_collector.events collector) in
+  let _sys, events, _halt = run_with_crash () in
+  let spans = Span.build events in
   let recovery =
     Span.find (fun s -> s.Span.sp_kind = Span.Recovery) spans
   in
@@ -158,10 +158,9 @@ let prop_span_trees_well_formed =
          | 3 -> Some Endpoint.vm
          | _ -> Some Endpoint.ds
        in
-       let _sys, collector, _metrics, _halt =
+       let _sys, events, _halt =
          run_with_crash ~crash ~root:(Workgen.generate ~seed ()) ()
        in
-       let events = Obs_collector.events collector in
        let spans = Span.build events in
        let flat = Span.flatten spans in
        let ids = List.map (fun s -> s.Span.sp_id) flat in
@@ -289,8 +288,7 @@ module Json = struct
 end
 
 let test_chrome_trace_structure () =
-  let _sys, collector, _metrics, _halt = run_with_crash () in
-  let events = Obs_collector.events collector in
+  let _sys, events, _halt = run_with_crash () in
   let spans = Span.build events in
   let json = Chrome_trace.of_spans ~events spans in
   let root =
@@ -584,10 +582,10 @@ let test_metrics_registry () =
        "Metrics: \"a.count\" already registered as a different kind")
     (fun () -> ignore (Metrics.gauge m "a.count"))
 
-let test_collector_metrics_agree () =
-  (* the osiris.* series must agree with what the collector recorded *)
-  let _sys, collector, metrics, _halt = run_with_crash () in
-  let events = Obs_collector.events collector in
+let test_event_metrics_agree () =
+  (* the osiris.* series must agree with the events they fold *)
+  let sys, events, _halt = run_with_crash () in
+  let metrics = Obs_report.metrics ~kernel:(System.kernel sys) events in
   let count pred = List.length (List.filter pred events) in
   let counter name =
     match Metrics.find metrics name with
@@ -607,49 +605,36 @@ let test_collector_metrics_agree () =
     (counter "osiris.rollback_bytes" > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Interleaved observers: tracer + collector + vtime sampler together  *)
+(* Interleaved observers: journal capture + vtime sampler together     *)
 (* ------------------------------------------------------------------ *)
 
 let test_observers_interleaved () =
-  (* One run with every observer attached at once: a tracer and a
-     collector composed into the event hook, and a vtime-sampled
-     timeseries through [System.build ~telemetry]. Each must see the
-     complete picture, and the sampler must not disturb the others. *)
-  let metrics = Metrics.create () in
-  let collector = Obs_collector.create ~metrics () in
-  let tracer = Tracer.create ~capacity:65536 () in
+  (* One run with every observer attached at once: the flight
+     recorder's in-memory journal as the kernel's capture, and a
+     vtime-sampled timeseries through [~telemetry]. Each must see the
+     complete picture, and the sampler must not disturb the journal. *)
   let interval = 1024 in
   let ts = Timeseries.create ~interval ~capacity:4096 () in
-  let sys =
-    System.build
-      ~event_hook:(fun e ->
-        Tracer.record tracer e;
-        Obs_collector.record collector e)
-      ~telemetry:ts
-      (Sysconf.uniform Policy.enhanced)
+  let c =
+    match
+      Result.bind (Runspec.make_header ~crash:"ds" ())
+        (Flight.capture ~telemetry:ts)
+    with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
   in
-  let kernel = System.kernel sys in
-  let armed = ref true in
-  Kernel.set_fault_hook kernel
-    (Some
-       (fun site ->
-          if !armed
-             && site.Kernel.site_ep = Endpoint.ds
-             && site.Kernel.site_kind = Kernel.Op_reply
-             && Kernel.window_is_open kernel Endpoint.ds
-          then begin
-            armed := false;
-            Some (Kernel.F_crash "test crash")
-          end
-          else None));
-  let halt = System.run sys ~root:Workgen.quickstart in
+  let kernel = System.kernel c.Flight.cap_system in
+  let events = Array.to_list c.Flight.cap_events in
   Alcotest.(check bool) "run completed" true
-    (match halt with Kernel.H_completed _ -> true | _ -> false);
-  (* both event observers saw the identical stream *)
-  Alcotest.(check int) "tracer and collector fed equally"
-    (Obs_collector.count collector) (Tracer.recorded tracer);
-  Alcotest.(check bool) "events recorded" true
-    (Obs_collector.count collector > 0);
+    (match c.Flight.cap_halt with Kernel.H_completed _ -> true | _ -> false);
+  Alcotest.(check bool) "events recorded" true (events <> []);
+  (* the journal decodes to the same stream a live hook sees *)
+  let live = ref [] in
+  ignore
+    (Runspec.exec (Result.get_ok (Runspec.make_header ~crash:"ds" ()))
+       ~hook:(fun ev -> live := ev :: !live));
+  Alcotest.(check bool) "capture unperturbed by the sampler" true
+    (events = List.rev !live);
   (* the sampler ran on the fixed vtime grid, nothing dropped *)
   let n = Timeseries.samples_taken ts in
   Alcotest.(check bool) "samples taken" true (n > 0);
@@ -693,15 +678,15 @@ let test_observers_interleaved () =
     (fun v ->
        if v <> 0 && v <> 1 then Alcotest.failf "alive sample %d not 0/1" v)
     (series "srv.ds.alive");
-  (* the collector still agrees with the kernel despite the sampler *)
+  (* the recorded events still agree with the kernel despite the
+     sampler *)
   let crash_events =
     List.length
-      (List.filter
-         (function Kernel.E_crash _ -> true | _ -> false)
-         (Obs_collector.events collector))
+      (List.filter (function Kernel.E_crash _ -> true | _ -> false) events)
   in
-  Alcotest.(check int) "collector crash count matches kernel" crash_events
+  Alcotest.(check int) "recorded crash count matches kernel" crash_events
     (Kernel.crashes kernel);
+  let metrics = Obs_report.metrics ~kernel events in
   (* osiris.timeline.* are pre-registered: publish adds no new names,
      so the sorted dump is layout-stable with or without telemetry *)
   let names () = List.map fst (Metrics.dump metrics) in
@@ -721,11 +706,11 @@ let test_observers_interleaved () =
    | _ -> Alcotest.fail "osiris.timeline.samples is not a gauge")
 
 let test_report_renders () =
-  let sys, collector, metrics, _halt = run_with_crash () in
-  Obs_collector.snapshot_server_stats metrics (System.kernel sys);
-  let spans = Span.build (Obs_collector.events collector) in
+  let sys, events, _halt = run_with_crash () in
+  let kernel = System.kernel sys in
   let report =
-    Obs_report.render ~metrics ~kernel:(System.kernel sys) spans
+    Obs_report.render ~metrics:(Obs_report.metrics ~kernel events) ~kernel
+      (Span.build events)
   in
   List.iter
     (fun needle ->
@@ -765,7 +750,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_merge_matches_union;
           Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "collector series" `Quick
-            test_collector_metrics_agree;
+            test_event_metrics_agree;
           Alcotest.test_case "interleaved observers" `Quick
             test_observers_interleaved;
           Alcotest.test_case "report" `Quick test_report_renders ] ) ]

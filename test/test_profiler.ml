@@ -155,20 +155,25 @@ let test_counter_samples () =
 (* ---------------- health watchdog --------------------------------- *)
 
 let run_health ?(crashes = 1) ?crash () =
-  let watchdog = Health.create () in
   let profiler = Profiler.create () in
-  let sys, _halt =
-    Runspec.run ~event_hook:(Health.observe watchdog) ~profiler
-      { Runspec.rs_seed = 42;
-        rs_arch = Kernel.Microkernel;
-        rs_conf = Sysconf.uniform Policy.enhanced;
-        rs_workload = "quickstart";
-        rs_faults =
-          (match crash with
-           | None -> []
-           | Some ep -> [ Runspec.Crash_replies (ep, crashes) ]) }
-  in
-  Health.snapshot ~profiler watchdog (System.kernel sys)
+  match
+    Result.bind
+      (Runspec.to_header
+         { Runspec.rs_seed = 42;
+           rs_arch = Kernel.Microkernel;
+           rs_conf = Sysconf.uniform Policy.enhanced;
+           rs_workload = "quickstart";
+           rs_faults =
+             (match crash with
+              | None -> []
+              | Some ep -> [ Runspec.Crash_replies (ep, crashes) ]) })
+      (Flight.capture ~profiler)
+  with
+  | Error m -> Alcotest.fail m
+  | Ok c ->
+    Health.snapshot ~profiler
+      (Array.to_list c.Flight.cap_events)
+      (System.kernel c.Flight.cap_system)
 
 let comp_of comps ep =
   match List.find_opt (fun c -> c.Health.co_ep = ep) comps with
