@@ -291,14 +291,18 @@ type req = {
   rq_rid : int;  (* causal request id; preserved across K_replay *)
 }
 
+(* A parked thread parks on its view: [tview] still holds the [Call] or
+   [Receive] it blocked in, with the continuation that takes its
+   result. *)
 type tstate =
-  | T_ready of Prog.view
-  | T_call_wait of { callee : Endpoint.t; k : (Message.t, unit) Prog.kont }
-  | T_recv_wait of { k : (Endpoint.t * Message.t, unit) Prog.kont }
+  | T_ready
+  | T_call_wait of Endpoint.t  (* the callee *)
+  | T_recv_wait
 
 type thread = {
   tid : int;
   mutable tstate : tstate;
+  mutable tview : Prog.view;
   mutable treq : req option;
   mutable started : bool;
   mutable cause : int;    (* rid of the request this thread is handling; 0 = root *)
@@ -750,16 +754,26 @@ let fresh_thread t p ?(started = true) ?req view =
   let tid = p.tid_counter in
   p.tid_counter <- p.tid_counter + 1;
   let cause = match req with Some r -> r.rq_rid | None -> 0 in
-  { tid; tstate = T_ready view; treq = req; started; cause;
+  { tid; tstate = T_ready; tview = view; treq = req; started; cause;
     root = root_of t cause; out_rid = 0;
     occ = Array.make n_op_kinds 0 }
 
 (* A user thread's way out — a failure, a return without exit(), a
    machine check, a kill — is an exit through PM, so the process table
    stays consistent. *)
-let exit_via_pm status =
-  T_ready (Prog.start (Prog.map ignore
-                         (Prog.call Endpoint.pm (Message.Exit { status }))))
+let exit_via_pm th status =
+  th.tstate <- T_ready;
+  th.tview <- Prog.start (Prog.map ignore
+                            (Prog.call Endpoint.pm (Message.Exit { status })))
+
+(* Resume a thread parked in [Call] with the reply. The view is
+   immutable, so fork resumes the same one twice. A [T_call_wait]
+   thread's view is always its [Call]; anything else is a kernel bug,
+   not a machine check. *)
+let resume_call th (msg : Message.t) =
+  match th.tview with
+  | Prog.Op (Prog.Call _, f, k) -> Prog.next f k msg
+  | _ -> assert false
 
 let proc_of t ep = Hashtbl.find_opt t.procs ep
 
@@ -795,12 +809,12 @@ let wake_receiver t p =
     let rec find = function
       | [] -> None
       | th :: rest ->
-        (match th.tstate with T_recv_wait { k } -> Some (th, k) | _ -> find rest)
+        (match th.tstate with T_recv_wait -> Some th | _ -> find rest)
     in
     match find p.threads with
     | None -> ()
-    | Some (th, k) ->
-      th.tstate <- T_ready (Prog.Op (Prog.Receive, k));
+    | Some th ->
+      th.tstate <- T_ready;
       Queue.push th p.runq;
       schedule t p
   end
@@ -953,8 +967,8 @@ let rec crash_proc t p reason =
         (fun th ->
            match th.tstate with
            | T_call_wait _ -> true
-           | T_ready _ -> th.tid <> active_tid
-           | T_recv_wait _ -> false)
+           | T_ready -> th.tid <> active_tid
+           | T_recv_wait -> false)
         p.threads;
     (* The run queue already contains exactly the non-active ready
        threads; leave it as the surviving schedule. *)
@@ -1071,21 +1085,22 @@ and k_reply_error t ~target ~err =
       | [] -> None
       | th :: rest ->
         (match th.tstate with
-         | T_call_wait { callee; k } ->
+         | T_call_wait callee ->
            (match proc_of t callee with
-            | Some cp when (not cp.alive) || cp.stalled -> Some (th, k, callee)
+            | Some cp when (not cp.alive) || cp.stalled -> Some (th, callee)
             | _ -> find rest)
          | _ -> find rest)
     in
     (match find rp.threads with
      | None -> false
-     | Some (th, k, callee) ->
+     | Some (th, callee) ->
        (* The virtualized error closes the requester's in-flight call:
           report it as a reply so its span completes. *)
        if observed t then
          emit_reply t ~time:t.global_now ~src:callee ~dst:target
            ~tag:(Message.Tag.of_msg (Message.R_err err)) ~rid:th.out_rid;
-       th.tstate <- T_ready (Prog.resume k (Message.R_err err));
+       th.tview <- resume_call th (Message.R_err err);
+       th.tstate <- T_ready;
        sync_to t rp sl_wait_reply t.global_now;
        Queue.push th rp.runq;
        schedule t rp;
@@ -1276,7 +1291,7 @@ let live_update_internal t ep loop =
       p.active = None
       && Queue.is_empty p.runq
       && List.for_all
-           (fun th -> match th.tstate with T_recv_wait _ -> true | _ -> false)
+           (fun th -> match th.tstate with T_recv_wait -> true | _ -> false)
            p.threads
       && (match p.window with Some w -> not (Window.is_open w) | None -> true)
     in
@@ -1312,17 +1327,17 @@ let exec_kcall t p kc : Prog.kresult =
     (match proc_of t parent with
      | None -> Prog.Kr_err Errno.ESRCH
      | Some pp ->
-       let rec find_k = function
+       let rec find = function
          | [] -> None
          | th :: rest ->
            (match th.tstate with
-            | T_call_wait { callee; k } when callee = p.ep -> Some k
-            | _ -> find_k rest)
+            | T_call_wait callee when callee = p.ep -> Some th
+            | _ -> find rest)
        in
-       (match find_k pp.threads with
+       (match find pp.threads with
         | None -> Prog.Kr_err Errno.EINVAL
-        | Some k ->
-          let child = Prog.resume k (Message.R_fork { child = 0 }) in
+        | Some th ->
+          let child = resume_call th (Message.R_fork { child = 0 }) in
           let cep =
             spawn_at t ~at:min_int ~name:(pp.pname ^ "+") ~view:child ~parent
           in
@@ -1438,7 +1453,7 @@ let exec_kcall t p kc : Prog.kresult =
      | Some rp when rp.kind = User_proc && rp.alive ->
        (* Terminate through the normal exit path so PM/VM/VFS clean up
           every trace of the requester. *)
-       List.iter (fun th -> th.tstate <- exit_via_pm 137) rp.threads;
+       List.iter (fun th -> exit_via_pm th 137) rp.threads;
        Queue.clear rp.runq;
        (match rp.threads with
         | th :: _ ->
@@ -1568,7 +1583,7 @@ let finish_thread t p th =
    | User_proc ->
      (* A user program that returns without calling exit() is given an
         implicit exit(0) through PM, keeping the process table sound. *)
-     th.tstate <- exit_via_pm 0;
+     exit_via_pm th 0;
      ignore t)
 
 (* An injected hang: the process stops, and only the heartbeat check
@@ -1578,13 +1593,27 @@ let park_hung t p =
   push_hangcheck t p.ep ~key:(p.vtime + t.cfg.hang_detect_cycles);
   raise Thread_parked
 
+(* The thread a reply from [callee] wakes: among [threads] parked in a
+   [Call] to [callee], the one with tid [pref], else the first in thread
+   order. One pass; [first] is the first such caller seen so far. *)
+let rec reply_target ~callee ~pref first = function
+  | [] -> first
+  | th :: rest ->
+    (match th.tstate with
+     | T_call_wait c when c = callee ->
+       if th.tid = pref then Some th
+       else
+         let first = match first with None -> Some th | Some _ -> first in
+         reply_target ~callee ~pref first rest
+     | _ -> reply_target ~callee ~pref first rest)
+
 (* Execute exactly one operation of the active thread. Raises
    Thread_parked / Thread_finished to signal scheduling changes. *)
-let step t p th view =
+let step t p th =
   let costs = t.cfg.costs in
   t.n_ops <- t.n_ops + 1;
   if t.n_ops > t.cfg.max_ops then halt t H_hang;
-  match view with
+  match th.tview with
   | Prog.Finished -> finish_thread t p th; raise Thread_finished
   | Prog.Failed reason ->
     (match p.kind with
@@ -1593,9 +1622,10 @@ let step t p th view =
        (* Abnormal user termination: routed through PM as exit(255) so
           the process table stays consistent. *)
        Log.debug (fun m -> m "user %s fail-stop: %s" p.pname reason);
-       th.tstate <- exit_via_pm 255)
-  | Prog.Op (op, k) ->
+       exit_via_pm th 255)
+  | Prog.Op (op, f, k) ->
   match op with
+  | Prog.Done _ | Prog.Fail _ | Prog.Bind _ -> assert false
   | Prog.Compute c ->
     coverage t p;
     (match op_site t p th Op_compute with
@@ -1604,7 +1634,7 @@ let step t p th view =
      | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
      | _ -> ());
     charge t p sl_compute (max c 1);
-    th.tstate <- T_ready (Prog.resume k ())
+    th.tview <- Prog.next f k ()
   | Prog.Load off ->
     coverage t p;
     (match p.image with
@@ -1616,7 +1646,7 @@ let step t p th view =
         | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
         | _ -> ());
        charge t p sl_load costs.Costs.c_load;
-       th.tstate <- T_ready (Prog.resume k (Memimage.get_word img off)))
+       th.tview <- Prog.next f k (Memimage.get_word img off))
   | Prog.Store (off, v) ->
     coverage t p;
     (match p.image with
@@ -1640,7 +1670,7 @@ let step t p th view =
         | Some F_corrupt_store ->
           Memimage.set_word img off (v lxor (1 lsl Osiris_util.Rng.int t.rng 16))
         | _ -> Memimage.set_word img off v);
-       th.tstate <- T_ready (Prog.resume k ()))
+       th.tview <- Prog.next f k ())
   | Prog.Load_str { off; len } ->
     coverage t p;
     (match p.image with
@@ -1651,7 +1681,7 @@ let step t p th view =
         | Some F_skip_handler -> finish_thread t p th; raise Thread_finished
         | _ -> ());
        charge t p sl_load (costs.Costs.c_load + (len / 8));
-       th.tstate <- T_ready (Prog.resume k (Memimage.get_string img ~off ~len)))
+       th.tview <- Prog.next f k (Memimage.get_string img ~off ~len))
   | Prog.Store_str { off; len; v } ->
     coverage t p;
     (match p.image with
@@ -1680,7 +1710,7 @@ let step t p th view =
                  | Diag { line } -> line
                  | _ -> v))
         | _ -> Memimage.set_string img ~off ~len v);
-       th.tstate <- T_ready (Prog.resume k ()))
+       th.tview <- Prog.next f k ())
   | Prog.Send (dst, msg) ->
     coverage t p;
     let action = op_site t p th Op_send in
@@ -1705,7 +1735,7 @@ let step t p th view =
      else
        deliver_to_inbox t ~src:p.ep ~src_tid:th.tid ~call:false
          ~rid:(alloc_rid t) ~parent:th.cause dst msg);
-    th.tstate <- T_ready (Prog.resume k ())
+    th.tview <- Prog.next f k ()
   | Prog.Call (dst, msg) ->
     coverage t p;
     let action = op_site t p th Op_call in
@@ -1727,12 +1757,12 @@ let step t p th view =
       (match msg, t.cfg.log_sink with
        | Message.Diag { line }, Some sink -> sink line
        | _ -> ());
-      th.tstate <- T_ready (Prog.resume k (Message.R_ok 0))
+      th.tview <- Prog.next f k (Message.R_ok 0)
     end
     else begin
       let rid = alloc_rid t in
       th.out_rid <- rid;
-      th.tstate <- T_call_wait { callee = dst; k };
+      th.tstate <- T_call_wait dst;
       deliver_to_inbox t ~at:p.vtime ~src:p.ep ~src_tid:th.tid ~call:true
         ~rid ~parent:th.cause dst msg;
       deactivate t p;
@@ -1759,7 +1789,7 @@ let step t p th view =
       raise Thread_finished
     end;
     if Queue.is_empty p.inbox then begin
-      th.tstate <- T_recv_wait { k };
+      th.tstate <- T_recv_wait;
       deactivate t p;
       raise Thread_parked
     end
@@ -1782,7 +1812,7 @@ let step t p th view =
       end;
       Array.fill th.occ 0 n_op_kinds 0;
       open_handler_window ~rid:entry.ib_rid t p;
-      th.tstate <- T_ready (Prog.resume k (entry.ib_src, entry.ib_msg))
+      th.tview <- Prog.next f k (entry.ib_src, entry.ib_msg)
     end
   | Prog.Reply (dst, msg) ->
     coverage t p;
@@ -1802,49 +1832,32 @@ let step t p th view =
     (match proc_of t dst with
      | None -> t.n_orphans <- t.n_orphans + 1
      | Some rp ->
-       let preferred_tid =
+       let pref =
          match th.treq with
-         | Some r when r.rq_src = dst -> Some r.rq_src_tid
-         | _ -> None
+         | Some r when r.rq_src = dst -> r.rq_src_tid
+         | _ -> -1
        in
-       let candidates =
-         List.filter
-           (fun x -> match x.tstate with
-              | T_call_wait { callee; _ } -> callee = p.ep
-              | _ -> false)
-           rp.threads
-       in
-       let target =
-         match preferred_tid with
-         | Some tid ->
-           (match List.find_opt (fun x -> x.tid = tid) candidates with
-            | Some th' -> Some th'
-            | None -> (match candidates with [] -> None | th' :: _ -> Some th'))
-         | None -> (match candidates with [] -> None | th' :: _ -> Some th')
-       in
-       (match target with
+       (match reply_target ~callee:p.ep ~pref None rp.threads with
         | None -> t.n_orphans <- t.n_orphans + 1
         | Some th' ->
-          (match th'.tstate with
-           | T_call_wait { k = k'; _ } ->
-             if t.cfg.trace then
-               Log.debug (fun m ->
-                   m "t=%-10d %s => %s  reply %s" p.vtime
-                     (Endpoint.server_name p.ep) (Endpoint.server_name dst)
-                     (Message.Tag.to_string (Message.Tag.of_msg msg)));
-             if observed t then
-               emit_reply t ~time:p.vtime ~src:p.ep ~dst
-                 ~tag:(Message.Tag.of_msg msg) ~rid:th'.out_rid;
-             th'.tstate <- T_ready (Prog.resume k' msg);
-             sync_to t rp sl_wait_reply p.vtime;
-             Queue.push th' rp.runq;
-             schedule t rp
-           | _ -> assert false)));
-    th.tstate <- T_ready (Prog.resume k ())
+          if t.cfg.trace then
+            Log.debug (fun m ->
+                m "t=%-10d %s => %s  reply %s" p.vtime
+                  (Endpoint.server_name p.ep) (Endpoint.server_name dst)
+                  (Message.Tag.to_string (Message.Tag.of_msg msg)));
+          if observed t then
+            emit_reply t ~time:p.vtime ~src:p.ep ~dst
+              ~tag:(Message.Tag.of_msg msg) ~rid:th'.out_rid;
+          th'.tview <- resume_call th' msg;
+          th'.tstate <- T_ready;
+          sync_to t rp sl_wait_reply p.vtime;
+          Queue.push th' rp.runq;
+          schedule t rp));
+    th.tview <- Prog.next f k ()
   | Prog.Yield ->
     coverage t p;
     charge t p sl_yield costs.Costs.c_yield;
-    th.tstate <- T_ready (Prog.resume k ());
+    th.tview <- Prog.next f k ();
     Queue.push th p.runq;
     deactivate t p;
     raise Thread_parked
@@ -1857,7 +1870,7 @@ let step t p th view =
     let nth = fresh_thread t p ~started:false ?req:th.treq (Prog.start prog) in
     p.threads <- p.threads @ [ nth ];
     Queue.push nth p.runq;
-    th.tstate <- T_ready (Prog.resume k ())
+    th.tview <- Prog.next f k ()
   | Prog.Kcall kc ->
     coverage t p;
     (match op_site t p th Op_kcall with
@@ -1877,15 +1890,15 @@ let step t p th view =
       policy_close ~rid:th.cause t p cls
     end;
     let r = exec_kcall t p kc in
-    th.tstate <- T_ready (Prog.resume k r)
+    th.tview <- Prog.next f k r
   | Prog.Rand bound ->
     coverage t p;
     charge t p sl_rand 1;
-    th.tstate <- T_ready (Prog.resume k (Osiris_util.Rng.int t.rng (max bound 1)))
+    th.tview <- Prog.next f k (Osiris_util.Rng.int t.rng (max bound 1))
   | Prog.Now ->
     coverage t p;
     charge t p sl_now 1;
-    th.tstate <- T_ready (Prog.resume k p.vtime)
+    th.tview <- Prog.next f k p.vtime
 
 (* Activate the next ready thread of [p], handling window bookkeeping
    for handler threads that start running for the first time. *)
@@ -1924,7 +1937,7 @@ let machine_check t p th exn =
   | Server_proc -> crash_proc t p reason
   | User_proc ->
     Log.debug (fun m -> m "user %s %s" p.pname reason);
-    th.tstate <- exit_via_pm 255
+    exit_via_pm th 255
 
 let exec_proc t p =
   let continue = ref true in
@@ -1936,14 +1949,14 @@ let exec_proc t p =
       | None -> continue := false
       | Some th ->
         (match th.tstate with
-         | T_ready view ->
-           (try step t p th view with
+         | T_ready ->
+           (try step t p th with
             | Thread_parked -> ()
             | Thread_finished -> ()
             | (Invalid_argument _ | Failure _ | Not_found
               | Division_by_zero) as exn ->
               machine_check t p th exn)
-         | T_call_wait _ | T_recv_wait _ ->
+         | T_call_wait _ | T_recv_wait ->
            (* Parked while marked active: clear and pick next. *)
            p.active <- None);
         (* Preemption check: if another item in the queue is due

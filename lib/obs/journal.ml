@@ -802,20 +802,25 @@ let get_ev st c : Kernel.event =
     Kernel.E_spawn { time; ep; parent }
   | n -> bad "unknown event tag %d" n
 
+(* Errors name the record they hit, "[what] [n]" or a bare [what] when
+   [n < 0]. Decode loops pass the parts, and the label is formatted only
+   on the error path. *)
+let which what n = if n < 0 then what else Printf.sprintf "%s %d" what n
+
 (* Unframe one record: varint(len) + payload + CRC. Returns a cursor
-   scoped to the payload; [which] names the record in errors.
+   scoped to the payload; [what] and [n] name the record in errors.
    [check_crc:false] skips the payload checksum (framing and bounds
    are still enforced) — only for callers that just produced the
    bytes in-process and cannot have picked up storage corruption. *)
-let next_record ?(check_crc = true) src pos ~which =
+let next_record ?(check_crc = true) src pos ~what ~n =
   let c = { src; rpos = pos; limit = String.length src } in
   let len =
-    try get_uint c with Bad _ -> bad "%s: truncated length" which
+    try get_uint c with Bad _ -> bad "%s: truncated length" (which what n)
   in
   let payload_off = c.rpos in
   if payload_off + len + 4 > String.length src then
-    bad "%s: truncated record (need %d bytes past offset %d)" which len
-      payload_off;
+    bad "%s: truncated record (need %d bytes past offset %d)" (which what n)
+      len payload_off;
   if check_crc then begin
     let stored_crc =
       Char.code src.[payload_off + len]
@@ -825,8 +830,8 @@ let next_record ?(check_crc = true) src pos ~which =
     in
     let actual = crc32_string src ~off:payload_off ~len in
     if actual <> stored_crc then
-      bad "%s: CRC mismatch (stored %08x, computed %08x)" which stored_crc
-        actual
+      bad "%s: CRC mismatch (stored %08x, computed %08x)" (which what n)
+        stored_crc actual
   end;
   ({ src; rpos = payload_off; limit = payload_off + len },
    payload_off + len + 4)
@@ -850,12 +855,19 @@ let get_header c =
   { jh_version; jh_seed; jh_arch; jh_spec; jh_workload; jh_crash;
     jh_crash_count; jh_cost_fingerprint }
 
+(* The [n]th event record, at [pos]: its event and the offset past it. *)
+let read_event st s pos n =
+  let rc, pos' = next_record s pos ~what:"record" ~n in
+  let ev = try get_ev st rc with Bad m -> bad "record %d: %s" n m in
+  if rc.rpos <> rc.limit then bad "record %d: trailing bytes in record" n;
+  (ev, pos')
+
 let read_string s =
   try
     if String.length s < String.length magic
        || String.sub s 0 (String.length magic) <> magic
     then bad "bad magic (not an OSIRIS journal)";
-    let hc, pos = next_record s (String.length magic) ~which:"header" in
+    let hc, pos = next_record s (String.length magic) ~what:"header" ~n:(-1) in
     let header = get_header hc in
     if hc.rpos <> hc.limit then bad "header: trailing bytes";
     let events = ref [] in
@@ -863,10 +875,7 @@ let read_string s =
     let pos = ref pos in
     let st = { d_time = 0; d_rid = 0 } in
     while !pos < String.length s do
-      let which = Printf.sprintf "record %d" !n in
-      let rc, pos' = next_record s !pos ~which in
-      let ev = try get_ev st rc with Bad m -> bad "%s: %s" which m in
-      if rc.rpos <> rc.limit then bad "%s: trailing bytes in record" which;
+      let ev, pos' = read_event st s !pos !n in
       events := ev :: !events;
       incr n;
       pos := pos'
@@ -961,7 +970,7 @@ let header_of_string s =
     if String.length s < String.length magic
        || String.sub s 0 (String.length magic) <> magic
     then bad "bad magic (not an OSIRIS journal)";
-    let hc, pos = next_record s (String.length magic) ~which:"header" in
+    let hc, pos = next_record s (String.length magic) ~what:"header" ~n:(-1) in
     let header = get_header hc in
     if hc.rpos <> hc.limit then bad "header: trailing bytes";
     Ok (header, pos)
@@ -985,11 +994,8 @@ let stream_of_string s =
 let stream_next st =
   if st.st_pos >= String.length st.st_src then Ok None
   else
-    let which = Printf.sprintf "record %d" st.st_n in
     try
-      let rc, pos' = next_record st.st_src st.st_pos ~which in
-      let ev = try get_ev st.st_delta rc with Bad m -> bad "%s: %s" which m in
-      if rc.rpos <> rc.limit then bad "%s: trailing bytes in record" which;
+      let ev, pos' = read_event st.st_delta st.st_src st.st_pos st.st_n in
       st.st_pos <- pos';
       st.st_n <- st.st_n + 1;
       Ok (Some ev)
@@ -1131,7 +1137,7 @@ let build_index ?(block_records = default_block_records) ?(verify_crc = true)
     if String.length s < String.length magic
        || String.sub s 0 (String.length magic) <> magic
     then bad "bad magic (not an OSIRIS journal)";
-    let hc, pos = next_record s (String.length magic) ~which:"header" in
+    let hc, pos = next_record s (String.length magic) ~what:"header" ~n:(-1) in
     ignore (get_header hc : header);
     if hc.rpos <> hc.limit then bad "header: trailing bytes";
     let blocks = ref [] in
@@ -1288,7 +1294,9 @@ let index_of_string ~journal s =
     if String.length s < String.length index_magic
        || String.sub s 0 (String.length index_magic) <> index_magic
     then bad "bad magic (not an OSIRIS journal index)";
-    let hc, pos = next_record s (String.length index_magic) ~which:"index header" in
+    let hc, pos =
+      next_record s (String.length index_magic) ~what:"index header" ~n:(-1)
+    in
     let v = get_int hc in
     if v <> version then bad "unsupported index version %d" v;
     let ix_journal_len = get_int hc in
@@ -1310,8 +1318,7 @@ let index_of_string ~journal s =
     in
     let pos = ref pos in
     for i = 0 to n_blocks - 1 do
-      let which = Printf.sprintf "index block %d" i in
-      let rc, pos' = next_record s !pos ~which in
+      let rc, pos' = next_record s !pos ~what:"index block" ~n:i in
       let blk_off = get_int rc in
       let blk_count = get_int rc in
       let blk_base_time = get_int rc in
@@ -1323,9 +1330,9 @@ let index_of_string ~journal s =
       let blk_ep_mask = get_int rc in
       let blk_kind_mask = get_int rc in
       let blk_tag_mask = get_int rc in
-      if rc.rpos <> rc.limit then bad "%s: trailing bytes" which;
+      if rc.rpos <> rc.limit then bad "index block %d: trailing bytes" i;
       if blk_off < 0 || blk_off >= String.length journal || blk_count < 1
-      then bad "%s: offset/count out of range" which;
+      then bad "index block %d: offset/count out of range" i;
       blocks.(i) <-
         { blk_off; blk_count; blk_base_time; blk_base_rid; blk_time_min;
           blk_time_max; blk_rid_min; blk_rid_max; blk_ep_mask;
@@ -1370,10 +1377,7 @@ let fold_full s pos stats ~init ~f =
   let pos = ref pos in
   let st = { d_time = 0; d_rid = 0 } in
   while !pos < String.length s do
-    let which = Printf.sprintf "record %d" !n in
-    let rc, pos' = next_record s !pos ~which in
-    let ev = try get_ev st rc with Bad m -> bad "%s: %s" which m in
-    if rc.rpos <> rc.limit then bad "%s: trailing bytes in record" which;
+    let ev, pos' = read_event st s !pos !n in
     (match stats with
      | Some sc -> sc.sc_records_decoded <- sc.sc_records_decoded + 1
      | None -> ());
@@ -1390,10 +1394,7 @@ let fold_block s blk base ~init ~f =
   let pos = ref blk.blk_off in
   let st = { d_time = blk.blk_base_time; d_rid = blk.blk_base_rid } in
   for i = 0 to blk.blk_count - 1 do
-    let which = Printf.sprintf "record %d" (base + i) in
-    let rc, pos' = next_record s !pos ~which in
-    let ev = try get_ev st rc with Bad m -> bad "%s: %s" which m in
-    if rc.rpos <> rc.limit then bad "%s: trailing bytes in record" which;
+    let ev, pos' = read_event st s !pos (base + i) in
     acc := f !acc ev;
     pos := pos'
   done;

@@ -27,27 +27,26 @@ and kresult =
           (* a requester-local SEEP was crossed inside the window *)
     }
 
-and 'a op =
-  | Compute : int -> unit op
-  | Load : int -> int op
-  | Store : int * int -> unit op
-  | Load_str : { off : int; len : int } -> string op
-  | Store_str : { off : int; len : int; v : string } -> unit op
-  | Send : Endpoint.t * Message.t -> unit op
-  | Call : Endpoint.t * Message.t -> Message.t op
-  | Receive : (Endpoint.t * Message.t) op
-  | Reply : Endpoint.t * Message.t -> unit op
-  | Yield : unit op
-  | Spawn : unit t -> unit op
-  | Kcall : kcall -> kresult op
-  | Rand : int -> int op
-  | Now : int op
-
 and 'a t =
   | Done : 'a -> 'a t
   | Fail : string -> 'a t
-  | Prim : 'a op -> 'a t
   | Bind : 'b t * ('b -> 'a t) -> 'a t
+  | Compute : int -> unit t
+  | Load : int -> int t
+  | Store : int * int -> unit t
+  | Load_str : { off : int; len : int } -> string t
+  | Store_str : { off : int; len : int; v : string } -> unit t
+  | Send : Endpoint.t * Message.t -> unit t
+  | Call : Endpoint.t * Message.t -> Message.t t
+  | Receive : (Endpoint.t * Message.t) t
+  | Reply : Endpoint.t * Message.t -> unit t
+  | Yield : unit t
+  | Spawn : unit t -> unit t
+  | Kcall : kcall -> kresult t
+  | Rand : int -> int t
+  | Now : int t
+
+and 'a op = 'a t
 
 (* A type-aligned stack of pending [bind] continuations: a value of
    type ['a] flows in at the top and a ['b] comes out at the bottom. *)
@@ -56,7 +55,7 @@ type ('a, 'b) kont =
   | Frame : ('a -> 'b t) * ('b, 'c) kont -> ('a, 'c) kont
 
 type view =
-  | Op : 'a op * ('a, unit) kont -> view
+  | Op : 'a op * ('a -> 'b t) * ('b, unit) kont -> view
   | Finished
   | Failed of string
 
@@ -73,16 +72,27 @@ let bind p f =
 
 (* Eager normalisation: push the continuations of [Bind]s while
    descending to the leftmost node, and pop them as values arrive,
-   until the next primitive is reached. The two functions only call
+   until the next primitive is reached. The continuation directly
+   around that primitive becomes the view's head instead of a frame:
+   [push] keeps the innermost [Bind]'s, and a bare primitive takes the
+   top frame (or [return] on an empty stack). The functions only call
    each other in tail position, so any nesting depth runs in constant
    stack. *)
 let rec descend : type a. a t -> (a, unit) kont -> view =
   fun p k ->
   match p with
-  | Prim op -> Op (op, k)
-  | Bind (q, f) -> descend q (Frame (f, k))
+  | Bind (q, f) -> push q f k
   | Done x -> resume k x
   | Fail msg -> Failed msg
+  | _ -> (match k with Frame (f, k) -> Op (p, f, k) | Nil -> Op (p, return, k))
+
+and push : type a b. a t -> (a -> b t) -> (b, unit) kont -> view =
+  fun q f k ->
+  match q with
+  | Bind (q', g) -> push q' g (Frame (f, k))
+  | Done x -> descend (f x) k
+  | Fail msg -> Failed msg
+  | _ -> Op (q, f, k)
 
 and resume : type a. (a, unit) kont -> a -> view =
   fun k x ->
@@ -91,6 +101,8 @@ and resume : type a. (a, unit) kont -> a -> view =
   | Frame (f, k) -> descend (f x) k
 
 let start p = descend p Nil
+
+let next f k x = descend (f x) k
 
 let map f p = bind p (fun x -> Done (f x))
 
@@ -101,20 +113,20 @@ module Syntax = struct
   let ( >> ) a b = bind a (fun () -> b)
 end
 
-let compute c = Prim (Compute c)
-let load off = Prim (Load off)
-let store off v = Prim (Store (off, v))
-let load_str ~off ~len = Prim (Load_str { off; len })
-let store_str ~off ~len v = Prim (Store_str { off; len; v })
-let send dst m = Prim (Send (dst, m))
-let call dst m = Prim (Call (dst, m))
-let receive = Prim Receive
-let reply dst m = Prim (Reply (dst, m))
-let yield = Prim Yield
-let spawn prog = Prim (Spawn prog)
-let kcall c = Prim (Kcall c)
-let rand bound = Prim (Rand bound)
-let now = Prim Now
+let compute c = Compute c
+let load off = Load off
+let store off v = Store (off, v)
+let load_str ~off ~len = Load_str { off; len }
+let store_str ~off ~len v = Store_str { off; len; v }
+let send dst m = Send (dst, m)
+let call dst m = Call (dst, m)
+let receive = Receive
+let reply dst m = Reply (dst, m)
+let yield = Yield
+let spawn prog = Spawn prog
+let kcall c = Kcall c
+let rand bound = Rand bound
+let now = Now
 let fail msg = Fail msg
 
 let when_ cond p = if cond then p else Done ()

@@ -17,16 +17,19 @@
       potential fault site (Tables II/III);
     - every operation carries a simulated cycle cost (Tables IV/V).
 
-    Representation. A program is [Done], [Fail], a continuation-free
-    primitive, or one [Bind] node: {!bind} is O(1) and never walks its
+    Representation. A program is [Done], [Fail], a primitive, or one
+    [Bind] node, and every primitive is itself a node of ['a t]: [load
+    off] is one [Load off] block. {!bind} is O(1) and never walks its
     argument (except that [bind (return x) f] applies [f x] on the
-    spot). Pending continuations live in a type-aligned, immutable
-    {!kont} stack that only this module builds or inspects. The kernel
-    drives a program through {!view}s: {!start} yields the first
-    primitive with the stack that consumes its result, and {!resume}
-    feeds a result in, runs the user continuations up to the next
-    primitive, and yields that. A parked stack can be resumed any
-    number of times (fork resumes one twice).
+    spot). The constructors are [private]: code outside this module can
+    match programs but build them only through the functions below.
+    Pending continuations live in a type-aligned, immutable {!kont}
+    stack that only this module builds or inspects. The kernel drives a
+    program through {!view}s: {!start} yields the first primitive with
+    the continuation directly around it (the head) and the stack below
+    that, and {!next} feeds a result to the head, runs the user
+    continuations up to the next primitive, and yields that. A parked
+    view can be resumed any number of times (fork resumes one twice).
 
     Programs must be deterministic: randomness comes from [Rand] (the
     kernel's seeded stream) and time from [Now] (the virtual clock). *)
@@ -77,40 +80,46 @@ and kresult =
           (* a requester-local SEEP was crossed inside the window *)
     }
 
-and 'a t
-(** A program returning ['a]. *)
-
-(** The primitive operations, each with the type of its result. *)
-and 'a op =
-  | Compute : int -> unit op  (** Burn n simulated cycles. *)
-  | Load : int -> int op  (** Word load, absolute byte offset. *)
-  | Store : int * int -> unit op
-  | Load_str : { off : int; len : int } -> string op
-  | Store_str : { off : int; len : int; v : string } -> unit op
-  | Send : Endpoint.t * Message.t -> unit op
+(** A program returning ['a]: [Done], [Fail], a [Bind], or one of the
+    primitive operations, each with the type of its result. *)
+and 'a t = private
+  | Done : 'a -> 'a t
+  | Fail : string -> 'a t
+  | Bind : 'b t * ('b -> 'a t) -> 'a t
+  | Compute : int -> unit t  (** Burn n simulated cycles. *)
+  | Load : int -> int t  (** Word load, absolute byte offset. *)
+  | Store : int * int -> unit t
+  | Load_str : { off : int; len : int } -> string t
+  | Store_str : { off : int; len : int; v : string } -> unit t
+  | Send : Endpoint.t * Message.t -> unit t
       (** Asynchronous notification; never blocks. *)
-  | Call : Endpoint.t * Message.t -> Message.t op
+  | Call : Endpoint.t * Message.t -> Message.t t
       (** MINIX sendrec: blocks until the receiver replies (possibly
           with [R_err E_CRASH] courtesy of the Recovery Server). *)
-  | Receive : (Endpoint.t * Message.t) op
+  | Receive : (Endpoint.t * Message.t) t
       (** Top-of-loop blocking receive (servers only). *)
-  | Reply : Endpoint.t * Message.t -> unit op
+  | Reply : Endpoint.t * Message.t -> unit t
       (** Answer a pending [Call] from the given endpoint. *)
-  | Yield : unit op  (** Cooperative thread yield (multithreaded servers). *)
-  | Spawn : unit t -> unit op  (** Start a cothread in the same component. *)
-  | Kcall : kcall -> kresult op
-  | Rand : int -> int op  (** Uniform int below the bound. *)
-  | Now : int op  (** Virtual time, cycles. *)
+  | Yield : unit t  (** Cooperative thread yield (multithreaded servers). *)
+  | Spawn : unit t -> unit t  (** Start a cothread in the same component. *)
+  | Kcall : kcall -> kresult t
+  | Rand : int -> int t  (** Uniform int below the bound. *)
+  | Now : int t  (** Virtual time, cycles. *)
+
+and 'a op = 'a t
+(** A primitive: an ['a t] that is neither [Done], [Fail] nor [Bind].
+    Only primitives appear in a {!view}. *)
 
 (** {2 Interpretation} *)
 
 type ('a, 'b) kont
-(** The continuation of a suspended program: given the ['a] result of
-    the current primitive, it runs on to a ['b]. Immutable. *)
+(** The continuation of a suspended program: given an ['a], it runs on
+    to a ['b]. Immutable. *)
 
 type view =
-  | Op : 'a op * ('a, unit) kont -> view
-      (** The next primitive to execute, and what consumes its result. *)
+  | Op : 'a op * ('a -> 'b t) * ('b, unit) kont -> view
+      (** The next primitive to execute, the continuation directly
+          around it, and the stack that consumes that one's result. *)
   | Finished  (** The program returned. *)
   | Failed of string
       (** Fail-stop crash of the executing component (the NULL-deref /
@@ -119,11 +128,11 @@ type view =
 val start : unit t -> view
 (** The first primitive of a program. Runs no user code. *)
 
-val resume : ('a, unit) kont -> 'a -> view
-(** Feed a primitive's result to its continuation and run to the next
-    primitive. User continuations run here, in the caller's frame, so
-    their exceptions propagate to the caller. Constant stack for any
-    [bind] nesting. *)
+val next : ('a -> 'b t) -> ('b, unit) kont -> 'a -> view
+(** [next f k x] feeds the result [x] of an [Op (_, f, k)] primitive to
+    its continuation and runs to the next primitive. User continuations
+    run here, in the caller's frame, so their exceptions propagate to
+    the caller. Constant stack for any [bind] nesting. *)
 
 (** {2 Building programs} *)
 

@@ -2,7 +2,7 @@
    typed memory access layer, and the view API the kernel drives
    programs through. A miniature interpreter runs the pure subset
    (Compute / Load / Store / Rand / Now, return and fail) through
-   [Prog.start] / [Prog.resume] against a raw image, so DSL semantics
+   [Prog.start] / [Prog.next] against a raw image, so DSL semantics
    can be checked without a kernel. *)
 
 open Prog.Syntax
@@ -13,34 +13,35 @@ type 'a outcome = Value of 'a | Crashed of string
    number of memory/compute primitives executed. *)
 let drive img view =
   let steps = ref 0 in
-  let exec : type a. a Prog.op -> (a, unit) Prog.kont -> Prog.view =
-    fun op k ->
+  let exec : type a b. a Prog.op -> (a -> b Prog.t) -> (b, unit) Prog.kont
+    -> Prog.view =
+    fun op f k ->
     match op with
     | Prog.Compute _ ->
       incr steps;
-      Prog.resume k ()
+      Prog.next f k ()
     | Prog.Load off ->
       incr steps;
-      Prog.resume k (Memimage.get_word img off)
+      Prog.next f k (Memimage.get_word img off)
     | Prog.Store (off, v) ->
       incr steps;
       Memimage.set_word img off v;
-      Prog.resume k ()
+      Prog.next f k ()
     | Prog.Load_str { off; len } ->
       incr steps;
-      Prog.resume k (Memimage.get_string img ~off ~len)
+      Prog.next f k (Memimage.get_string img ~off ~len)
     | Prog.Store_str { off; len; v } ->
       incr steps;
       Memimage.set_string img ~off ~len v;
-      Prog.resume k ()
-    | Prog.Rand bound -> Prog.resume k (bound / 2)
-    | Prog.Now -> Prog.resume k 0
+      Prog.next f k ()
+    | Prog.Rand bound -> Prog.next f k (bound / 2)
+    | Prog.Now -> Prog.next f k 0
     | _ -> failwith "interp: communicating operation in pure test"
   in
   let rec go = function
     | Prog.Finished -> None
     | Prog.Failed m -> Some m
-    | Prog.Op (op, k) -> go (exec op k)
+    | Prog.Op (op, f, k) -> go (exec op f k)
   in
   let failed = go view in
   (failed, !steps)
@@ -256,24 +257,29 @@ let test_deep_left_nesting_through_kernel () =
     Alcotest.failf "words/op grow with nesting depth: %.1f at 10^3, %.1f at 10^5"
       small large
 
-(* Fork resumes one parked continuation twice: once in the parent, once
-   in the child. The stack is immutable, so the two runs must not see
-   each other. Left nesting makes [start] push several frames. *)
-let test_resume_parked_kont_twice () =
+(* Fork resumes one parked view twice: the [Call] a parent blocked in
+   is resumed once in PM's step for the child, and later again for the
+   parent. The view is immutable, so the two runs must not see each
+   other. Left nesting makes [start] push several frames under the
+   call's head continuation. *)
+let test_resume_parked_view_twice () =
   let p =
     Prog.bind
-      (Prog.bind (Prog.load 0) (fun x ->
-           let* () = Prog.store 8 (x * 10) in
-           Prog.return x))
+      (Prog.bind (Prog.call Endpoint.pm (Message.Exit { status = 0 }))
+         (fun reply ->
+            let x = match reply with Message.R_ok x -> x | _ -> -1 in
+            let* () = Prog.store 8 (x * 10) in
+            Prog.return x))
       (fun x ->
          let* y = Prog.load 8 in
          Prog.store 16 (x + y))
   in
   match Prog.start p with
-  | Prog.Op (Prog.Load 0, k) ->
+  | Prog.Op (Prog.Call (dst, _), f, k) ->
+    Alcotest.(check int) "parked on the call to PM" Endpoint.pm dst;
     let run v =
       let img = mk () in
-      (match drive img (Prog.resume k v) with
+      (match drive img (Prog.next f k (Message.R_ok v)) with
        | None, _ -> ()
        | Some m, _ -> Alcotest.fail m);
       Memimage.get_word img 16
@@ -281,7 +287,49 @@ let test_resume_parked_kont_twice () =
     Alcotest.(check int) "first resume" 11 (run 1);
     Alcotest.(check int) "second resume" 22 (run 2);
     Alcotest.(check int) "first resume again" 11 (run 1)
-  | _ -> Alcotest.fail "expected the program to park on its first load"
+  | _ -> Alcotest.fail "expected the program to park on its call"
+
+(* Allocation pin for the interpreter's hot path. 78% of the suite's
+   ops are loads from server table scans, so drive a 1000-row
+   [Srvlib.scan] through [Prog.start]/[Prog.next] with an executor that
+   allocates nothing, and count the minor words per primitive: the
+   program nodes and closures [scan] builds, plus the view: 22.0 words
+   per load. The representation with a [Prim] box around each op and a
+   stack frame for the bind around it allocated 26.0 here. *)
+let scan_words_per_load_bound = 23.
+
+let rec drive_loads : Memimage.t -> int -> Prog.view -> int =
+  fun img n view ->
+  match view with
+  | Prog.Op (Prog.Load off, f, k) ->
+    drive_loads img (n + 1) (Prog.next f k (Memimage.get_word img off))
+  | Prog.Op _ -> failwith "scan: unexpected primitive"
+  | Prog.Failed m -> failwith m
+  | Prog.Finished -> n
+
+let test_scan_words_per_load () =
+  let rows = 1000 in
+  let img = Memimage.create ~name:"scan" ~size:(rows * 16) in
+  let spec = Layout.spec () in
+  let f_used = Layout.int spec "used" in
+  Layout.seal spec;
+  let tbl = Layout.Table.alloc img ~spec ~rows in
+  for row = 0 to rows - 1 do Layout.Table.set_int tbl ~row f_used 1 done;
+  let scan () =
+    Srvlib.scan ~rows (fun row ->
+        let* used = Prog.Mem.get_int tbl ~row f_used in
+        Prog.return (used = 0))
+  in
+  let run () = drive_loads img 0 (Prog.start (Prog.map ignore (scan ()))) in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let loads = run () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every row loaded" rows loads;
+  let per_load = words /. float_of_int loads in
+  if per_load > scan_words_per_load_bound then
+    Alcotest.failf "scan allocates %.2f minor words per load (bound %.0f)"
+      per_load scan_words_per_load_bound
 
 (* Random programs over the pure primitives. Every node maps an input
    value to an output, so values flow through binds; [Seq] nodes nest
@@ -389,5 +437,7 @@ let () =
         [ Alcotest.test_case "deep left nesting through the kernel" `Quick
             test_deep_left_nesting_through_kernel;
           Alcotest.test_case "resume a parked kont twice" `Quick
-            test_resume_parked_kont_twice;
+            test_resume_parked_view_twice;
+          Alcotest.test_case "scan words per load" `Quick
+            test_scan_words_per_load;
           QCheck_alcotest.to_alcotest prop_matches_direct_style ] ) ]
