@@ -1,20 +1,10 @@
-(* Critical-path engine benchmark: what per-request cycle charging
-   costs on the kernel's clock-advance path, and whether the
-   attribution pipeline keeps its exactness promises.
+(* Critical-path engine benchmark: whether the attribution pipeline
+   keeps its exactness promises.
 
    Run with [dune exec bench/main.exe critpath]. Gates:
-     charging_overhead       enabling per-request charging on top of
-                             the per-slot cycle counters (the PR-4
-                             profiler substrate) costs less than
-                             [max_overhead_pct] wall time on a
-                             workgen run — the charging path is
-                             two array reads and one write per clock
-                             advance, no hashing, no allocation
      conservation            every analyzed request's buckets sum to
-                             exactly its end-to-end latency, and the
-                             kernel's per-root phase rows sum to the
-                             global phase totals — zero tolerance on
-                             both
+                             exactly its end-to-end latency — zero
+                             tolerance
      journal_parity          attributing the decoded journal of a run
                              ([Flight.capture], what [osiris why]
                              reads) yields a byte-identical rendering
@@ -28,20 +18,6 @@ open Harness
 
 let workload_seed = 42
 
-(* ---- overhead probe ---------------------------------------------- *)
-
-let run_counted ~requests () =
-  let sys =
-    System.build ~seed:workload_seed (Sysconf.uniform Policy.enhanced)
-  in
-  let k = System.kernel sys in
-  Kernel.enable_cycle_counts k;
-  if requests then Kernel.enable_request_counts k;
-  match System.run sys ~root:(Workgen.generate ~seed:workload_seed ()) with
-  | Kernel.H_completed _ -> ()
-  | halt ->
-    failwith ("critpath bench workload halted: " ^ Kernel.halt_to_string halt)
-
 (* ---- attribution probes ------------------------------------------ *)
 
 let collect_events ~spec ~crash =
@@ -54,17 +30,8 @@ let collect_events ~spec ~crash =
     | Error m -> failwith m
   in
   let events = ref [] in
-  let kr = ref None in
-  ignore
-    (Runspec.exec
-       ~prepare:(fun sys ->
-           let k = System.kernel sys in
-           Kernel.enable_cycle_counts k;
-           Kernel.enable_request_counts k;
-           kr := Some k)
-       header
-       ~hook:(fun ev -> events := ev :: !events));
-  (header, List.rev !events, Option.get !kr)
+  ignore (Runspec.exec header ~hook:(fun ev -> events := ev :: !events));
+  (header, List.rev !events)
 
 (* Canonical rendering used by the parity and identity gates — every
    field of every breakdown, in analysis order. *)
@@ -112,35 +79,15 @@ let blame_rollup ~jobs =
   String.concat "--\n"
     (Parfan.map ~jobs
        (fun spec ->
-          let _, events, _ = collect_events ~spec ~crash:"ds" in
+          let _, events = collect_events ~spec ~crash:"ds" in
           let r = Critpath.analyze events in
           render_profile (Tailprof.profile r.Critpath.cr_requests))
        blame_specs)
 
-(* Maximum tolerated request-charging slowdown over cycle counts
-   alone, in percent. Conservation, parity and blame identity are
-   exact at any budget; this gate is relaxed in the smoke run because
-   runtest executes it beside the rest of the suite. *)
-let max_overhead_pct = { strict = 3.; smoke = 25. }
-
-let run cfg =
-  heading "Critical-path engine: charging overhead, conservation, parity";
-  (* ---- charging overhead ---- *)
-  let s =
-    sample cfg
-      [ timed (run_counted ~requests:false); timed (run_counted ~requests:true) ]
-  in
-  let base_ns = best s 0 and req_ns = best s 1 in
-  let overhead_pct = pct_over ~base:base_ns req_ns in
-  let overhead_spread = spread_pct s ~base:0 1 in
-  Printf.printf
-    "workgen run (best of %d interleaved rounds):\n\
-    \  cycle counts alone     %.2f ms\n\
-    \  + request charging     %.2f ms (%+.2f%%; per-round IQR [%+.1f, %+.1f])\n"
-    s.rounds (base_ns /. 1e6) (req_ns /. 1e6) overhead_pct
-    (fst overhead_spread) (snd overhead_spread);
+let run _cfg =
+  heading "Critical-path engine: conservation, parity, blame identity";
   (* ---- conservation ---- *)
-  let _, events, kernel = collect_events ~spec:"enhanced" ~crash:"ds" in
+  let header, events = collect_events ~spec:"enhanced" ~crash:"ds" in
   let result = Critpath.analyze events in
   let n_requests = List.length result.Critpath.cr_requests in
   let event_conserved =
@@ -148,26 +95,10 @@ let run cfg =
       (fun b -> Critpath.breakdown_sum b = Critpath.total b)
       result.Critpath.cr_requests
   in
-  let rows = Kernel.request_rows kernel in
-  let sys_row = Kernel.system_request_row kernel in
-  let kernel_conserved =
-    List.for_all
-      (fun ph ->
-         let pi = Kernel.phase_index ph in
-         List.fold_left (fun acc (_, _, row) -> acc + row.(pi)) sys_row.(pi)
-           rows
-         = Kernel.total_phase_cycles kernel ph)
-      Kernel.all_phases
-  in
-  Printf.printf
-    "conservation: %d requests, buckets %s, kernel charging (%d roots) %s\n"
-    n_requests
-    (if event_conserved then "exact" else "VIOLATED")
-    (Kernel.request_count kernel)
-    (if kernel_conserved then "exact" else "VIOLATED");
+  Printf.printf "conservation: %d requests, buckets %s\n" n_requests
+    (if event_conserved then "exact" else "VIOLATED");
   (* ---- journal parity ---- *)
-  let header, events2, _ = collect_events ~spec:"enhanced" ~crash:"ds" in
-  let live_render = render_result (Critpath.analyze events2) in
+  let live_render = render_result result in
   let parity =
     match Flight.capture header with
     | Error m -> failwith ("critpath bench: journal capture: " ^ m)
@@ -188,29 +119,20 @@ let run cfg =
     (List.length blame_specs)
     (if String.equal b1 b1' then "identical" else "DIFFERS")
     (if String.equal b1 b4 then "identical" else "DIFFERS");
-  let threshold = limit cfg max_overhead_pct in
   { fields =
       [ ("workload_seed", Int workload_seed);
-        ("charging",
-         Obj
-           [ ("cycle_counts_ns", Float base_ns);
-             ("request_counts_ns", Float req_ns);
-             ("overhead_pct", Float overhead_pct);
-             ("overhead_spread_pct", spread overhead_spread);
-             ("max_overhead_pct", Float threshold) ]);
         ("conservation",
          Obj
            [ ("requests", Int n_requests);
-             ("event_exact", Bool event_conserved);
-             ("kernel_exact", Bool kernel_conserved) ]);
+             ("event_exact", Bool event_conserved) ]);
         ("journal_parity", Bool parity);
         ("blame",
          Obj
            [ ("specs", Int (List.length blame_specs));
              ("bytes", Int (String.length b1));
-             ("identical", Bool blame_identical) ]) ];
+             ("identical", Bool blame_identical) ]);
+        exact [ "conservation.requests"; "blame.bytes" ] ];
     gates =
-      [ ("charging_overhead", overhead_pct < threshold);
-        ("conservation", event_conserved && kernel_conserved && n_requests > 0);
+      [ ("conservation", event_conserved && n_requests > 0);
         ("journal_parity", parity);
         ("blame_identity", blame_identical) ] }

@@ -187,6 +187,12 @@ type json =
 (* A [q1, q3] spread field. *)
 let spread (q1, q3) = List [ Float q1; Float q3 ]
 
+(* The "tolerances" member marking [paths] exact: fields the seed alone
+   determines (minor words, counts), identical at every budget, so
+   [tools/bench_diff] fails on any move of them instead of reporting
+   drift. *)
+let exact paths = ("tolerances", Obj (List.map (fun p -> (p, Float 0.)) paths))
+
 let iter_sep b sep f =
   List.iteri (fun i x -> if i > 0 then Buffer.add_string b sep; f x)
 

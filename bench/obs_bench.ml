@@ -149,7 +149,9 @@ let run cfg =
              ("capture_spread_pct", spread capture_spread);
              ("capture_decode_ns", Float !decode);
              ("capture_total_overhead_pct", Float decode_pct);
-             ("max_overhead_pct", Float max_overhead_pct) ]) ];
+             ("max_overhead_pct", Float max_overhead_pct) ]);
+        exact
+          [ "emission.unhooked_minor_words"; "emission.hooked_minor_words" ] ];
     gates =
       [ (* 64-word slack: Gc.minor_words itself and the loop closure may
            box a float or two; the 400k updates themselves must add

@@ -159,7 +159,11 @@ let run cfg =
              ("trivial_spread_pct", spread (spread_pct s ~base:0 1));
              ("overhead_pct", Float overhead_pct);
              ("overhead_spread_pct", spread overhead_spread);
-             ("max_overhead_pct", Float threshold) ]) ];
+             ("max_overhead_pct", Float threshold) ]);
+        exact
+          [ "emission.unhooked_minor_words";
+            "emission.trivial_hook_minor_words";
+            "counters.profiled_minor_words_over_unhooked" ] ];
     gates =
       [ (* 64-word slack: Gc.minor_words itself and the measuring
            closures may box a float or two; the events themselves must

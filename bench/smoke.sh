@@ -1,8 +1,9 @@
 #!/bin/sh
 # Smoke run of every layer bench, then the artifact schema check: each
 # fresh smoke_<name>.json must carry every key path of the committed
-# BENCH_<name>.json (bench_diff exits 1 on a GONE path or a gate that
-# went from true to false). Every check runs; exit 1 if any failed.
+# BENCH_<name>.json (bench_diff exits 1 on a GONE path, a gate that
+# went from true to false, or a move of a field the artifact declares
+# exact with tolerance 0). Every check runs; exit 1 if any failed.
 #
 #   sh smoke.sh MAIN_EXE BENCH_DIFF_EXE BASELINE_DIR
 case $1 in */*) main=$1 ;; *) main=./$1 ;; esac

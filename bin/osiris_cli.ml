@@ -107,10 +107,10 @@ let crash_faults ~count = function
    a recorded run: [Flight.capture] runs the description with an
    in-memory journal and hands back the decoded events. Every run this
    CLI describes has a header form. *)
-let capture ?prepare ?profiler ?telemetry spec =
+let capture ?profiler ?telemetry spec =
   match
     Result.bind (Runspec.to_header spec)
-      (Flight.capture ?prepare ?profiler ?telemetry)
+      (Flight.capture ?profiler ?telemetry)
   with
   | Ok c -> c
   | Error m -> failwith ("capture: " ^ m)
@@ -120,7 +120,7 @@ let suite_cmd =
     setup_logs ();
     if trace then Logs.set_level (Some Logs.Debug);
     let sys, halt =
-      Runspec.run ~trace
+      Runspec.run
         (described ~seed ~workload:"suite" ~faults:[] (Sysconf.uniform policy))
     in
     let lines = System.log_lines sys in
@@ -953,7 +953,7 @@ let why_cmd =
          | Error m ->
            prerr_endline ("why: " ^ m);
            Error 1
-         | Ok (_header, events) -> Ok [ (Array.to_list events, None) ])
+         | Ok (_header, events) -> Ok [ Array.to_list events ])
       | None, _ ->
         let specs = if specs = [] then [ policy.Policy.name ] else specs in
         let headers =
@@ -981,22 +981,9 @@ let why_cmd =
              (Parfan.map
                 ?jobs:(if jobs = 0 then None else Some jobs)
                 (fun header ->
-                   match
-                     Flight.capture
-                       ~prepare:(fun sys ->
-                           let k = System.kernel sys in
-                           (* Kernel-side charging is the independent
-                              cross-check on the event-derived
-                              attribution; it observes the run without
-                              perturbing it. *)
-                           Kernel.enable_cycle_counts k;
-                           Kernel.enable_request_counts k)
-                       header
-                   with
+                   match Flight.capture header with
                    | Error m -> failwith ("why: " ^ m)
-                   | Ok c ->
-                     (Array.to_list c.Flight.cap_events,
-                      Some (System.kernel c.Flight.cap_system)))
+                   | Ok c -> Array.to_list c.Flight.cap_events)
                 headers))
     in
     match runs with
@@ -1004,16 +991,16 @@ let why_cmd =
     | Ok runs ->
       let analyzed =
         List.map
-          (fun (events, kernel) ->
+          (fun events ->
              let cp = Critpath.analyze events in
-             (events, kernel, cp, Tailprof.profile cp.Critpath.cr_requests))
+             (events, cp, Tailprof.profile cp.Critpath.cr_requests))
           runs
       in
       (* Conservation is the tool's contract: refuse to emit an
          artifact whose buckets don't sum back to the latencies. *)
       let violations =
         List.concat_map
-          (fun (_, _, cp, _) ->
+          (fun (_, cp, _) ->
              List.filter
                (fun b -> Critpath.breakdown_sum b <> Critpath.total b)
                cp.Critpath.cr_requests)
@@ -1031,7 +1018,7 @@ let why_cmd =
       end
       else begin
         List.iteri
-          (fun i (_, kernel, cp, prof) ->
+          (fun i (_, cp, prof) ->
              let reqs = cp.Critpath.cr_requests in
              Printf.printf
                "run %d: %d completed request(s), %d incomplete — \
@@ -1079,38 +1066,13 @@ let why_cmd =
                            (Endpoint.server_name ep) c)
                       b.Critpath.cp_service
                   end)
-               slowest;
-             (* Live runs carry the kernel: check the charging identity
-                (sum of per-root rows = global phase totals). Stdout
-                only — the JSON artifact stays a pure function of the
-                events so journal attribution matches byte-for-byte. *)
-             match kernel with
-             | None -> ()
-             | Some k ->
-               let rows = Kernel.request_rows k in
-               let sys_row = Kernel.system_request_row k in
-               let ok =
-                 List.for_all
-                   (fun ph ->
-                      let pi = Kernel.phase_index ph in
-                      let s =
-                        List.fold_left
-                          (fun acc (_, _, row) -> acc + row.(pi))
-                          sys_row.(pi) rows
-                      in
-                      s = Kernel.total_phase_cycles k ph)
-                   Kernel.all_phases
-               in
-               Printf.printf
-                 "  kernel charging cross-check: %s (%d roots)\n"
-                 (if ok then "exact" else "MISMATCH")
-                 (Kernel.request_count k))
+               slowest)
           analyzed;
         let buf = Buffer.create 4096 in
         Printf.bprintf buf "{\n  \"tool\": \"why\",\n  \"runs\": [\n";
         let nruns = List.length analyzed in
         List.iteri
-          (fun i (_, _, cp, prof) ->
+          (fun i (_, cp, prof) ->
              Printf.bprintf buf "    {\"incomplete\": %d,\n     \"requests\": [\n"
                cp.Critpath.cr_incomplete;
              let reqs = cp.Critpath.cr_requests in
@@ -1128,7 +1090,7 @@ let why_cmd =
         Printf.bprintf buf "  ]\n}\n";
         write_file json (Buffer.contents buf);
         (match perfetto, analyzed with
-         | Some path, (events, _, cp, prof) :: _ ->
+         | Some path, (events, cp, prof) :: _ ->
            let spans = Span.build events in
            let anchor_of = Hashtbl.create 256 in
            List.iter

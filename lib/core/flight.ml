@@ -12,7 +12,7 @@ type capture = {
   cap_boot : int;
 }
 
-let capture ?prepare ?profiler ?telemetry header =
+let capture ?profiler ?telemetry header =
   match Runspec.of_header header with
   | Error m -> Error m
   | Ok spec ->
@@ -20,10 +20,7 @@ let capture ?prepare ?profiler ?telemetry header =
     (* [prepare] runs once boot is over, so the records written by then
        are the boot traffic. *)
     let boot = ref 0 in
-    let prepare sys =
-      boot := Journal.records_written w;
-      Option.iter (fun f -> f sys) prepare
-    in
+    let prepare _ = boot := Journal.records_written w in
     let sys, halt = Runspec.run ~journal:w ?profiler ?telemetry ~prepare spec in
     Journal.close w;
     Result.map

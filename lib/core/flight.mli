@@ -57,7 +57,6 @@ type capture = {
 }
 
 val capture :
-  ?prepare:(System.t -> unit) ->
   ?profiler:Profiler.t ->
   ?telemetry:Timeseries.t ->
   Journal.header ->

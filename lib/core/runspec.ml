@@ -73,15 +73,15 @@ let arm kernel faults =
     in
     Kernel.set_fault_hook kernel (Some hook)
 
-let run ?costs ?trace ?event_hook ?journal ?profiler ?telemetry ?prepare t =
+let run ?costs ?event_hook ?journal ?profiler ?telemetry ?prepare t =
   let root =
     match workload ~name:t.rs_workload ~seed:t.rs_seed with
     | Ok root -> root
     | Error m -> invalid_arg ("Runspec.run: " ^ m)
   in
   let sys =
-    System.build ~arch:t.rs_arch ~seed:t.rs_seed ?trace ?costs ?event_hook
-      ?journal ?profiler ?telemetry t.rs_conf
+    System.build ~arch:t.rs_arch ~seed:t.rs_seed ?costs ?event_hook ?journal
+      ?profiler ?telemetry t.rs_conf
   in
   arm (System.kernel sys) t.rs_faults;
   (match prepare with Some f -> f sys | None -> ());
@@ -157,7 +157,7 @@ let to_header t =
     make_header ~arch:t.rs_arch ~seed:t.rs_seed ~spec
       ~workload:t.rs_workload ~crash ~crash_count ()
 
-let exec ?prepare header ~hook =
+let exec header ~hook =
   match of_header header with
   | Error m -> invalid_arg ("Runspec.exec: " ^ m)
-  | Ok t -> snd (run ~event_hook:hook ?prepare t)
+  | Ok t -> snd (run ~event_hook:hook t)

@@ -49,7 +49,6 @@ val arm : Kernel.t -> fault list -> unit
 
 val run :
   ?costs:Costs.t ->
-  ?trace:bool ->
   ?event_hook:(Kernel.event -> unit) ->
   ?journal:Journal.writer ->
   ?profiler:Profiler.t ->
@@ -90,9 +89,7 @@ val make_header :
     ["quickstart"] workload, no crash). The spec string is kept as
     given. *)
 
-val exec :
-  ?prepare:(System.t -> unit) ->
-  Journal.header -> hook:(Kernel.event -> unit) -> Kernel.halt
+val exec : Journal.header -> hook:(Kernel.event -> unit) -> Kernel.halt
 (** {!run} the run a header describes with [hook] installed from boot:
     the [exec] argument {!Replay.run} wants.
     @raise Invalid_argument on a header {!of_header} rejects. *)

@@ -25,9 +25,8 @@ let etc_data =
   fill 0;
   Buffer.sub b 0 1024
 
-let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
-    ?(trace = false) ?costs ?event_hook ?journal ?profiler ?telemetry
-    ?extra_register conf =
+let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_crashes ?costs
+    ?event_hook ?journal ?profiler ?telemetry conf =
   (match Sysconf.validate conf with
    | Ok () -> ()
    | Error problems ->
@@ -46,7 +45,6 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
   let registry = Registry.create () in
   Testsuite.register registry;
   Unixbench.register registry;
-  (match extra_register with Some f -> f registry | None -> ());
   let pm = Pm.create () in
   let vfs = Vfs.create () in
   let vm = Vm.create () in
@@ -71,9 +69,7 @@ let build ?(arch = Kernel.Microkernel) ?(seed = 42) ?max_ops ?max_crashes
     in
     { base with
       Kernel.log_sink = Some (fun line -> log := line :: !log);
-      trace;
       costs = (match costs with Some c -> c | None -> base.Kernel.costs);
-      max_ops = (match max_ops with Some m -> m | None -> base.Kernel.max_ops);
       max_crashes =
         (match max_crashes with Some m -> m | None -> base.Kernel.max_crashes) }
   in

@@ -25,21 +25,18 @@ type t
 val build :
   ?arch:Kernel.arch ->
   ?seed:int ->
-  ?max_ops:int ->
   ?max_crashes:int ->
-  ?trace:bool ->
   ?costs:Costs.t ->
   ?event_hook:(Kernel.event -> unit) ->
   ?journal:Journal.writer ->
   ?profiler:Profiler.t ->
   ?telemetry:Timeseries.t ->
-  ?extra_register:(Registry.t -> unit) ->
   Sysconf.t ->
   t
 (** Create and boot a system: servers installed, filesystem populated
     with /bin (every registered executable), /etc/data and /tmp, boot
-    snapshots taken. The prototype test suite and the Unixbench
-    programs are always registered; add more via [extra_register].
+    snapshots taken. The registry holds the prototype test suite and
+    the Unixbench programs.
     [event_hook] is installed {e before} boot as the kernel's capture
     ({!Capture.of_hook}), so observers (e.g. [Flight.replay]'s live
     stream) capture boot traffic; attaching after [build] misses it.

@@ -19,15 +19,17 @@ let suite_run ~seed conf faults =
 
 let profile_sites ?(seed = 42) policy =
   let order = ref [] in
+  (* A fault hook that records each site and never fires. *)
   let record sys =
     let seen = Hashtbl.create 4096 in
-    Kernel.set_site_recorder (System.kernel sys)
+    Kernel.set_fault_hook (System.kernel sys)
       (Some
          (fun site ->
             if core_server_site site && not (Hashtbl.mem seen site) then begin
               Hashtbl.replace seen site ();
               order := site :: !order
-            end))
+            end;
+            None))
   in
   let (_ : System.t * Kernel.halt) =
     Runspec.run ~prepare:record (suite_run ~seed (Sysconf.uniform policy) [])

@@ -2,6 +2,12 @@ let src = Logs.Src.create "osiris.kernel" ~doc:"OSIRIS simulated kernel"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Per-message IPC tracing is on when this source logs at debug level
+   ([osiris suite --trace]); the guard keeps the message closures off
+   the delivery path otherwise. *)
+let[@inline] tracing () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false
+
 type arch = Microkernel | Monolithic
 
 let costs_of_arch = function
@@ -260,7 +266,6 @@ type config = {
   max_crashes : int;
   lookup_program : string -> (int -> unit Prog.t) option;
   log_sink : (string -> unit) option;
-  trace : bool;
 }
 
 let default_config ?(arch = Microkernel) ?(seed = 42) ?(policies = []) policy
@@ -275,8 +280,7 @@ let default_config ?(arch = Microkernel) ?(seed = 42) ?(policies = []) policy
     hang_detect_cycles = 2_000_000;
     max_crashes = 64;
     lookup_program;
-    log_sink = None;
-    trace = false }
+    log_sink = None }
 
 (* ------------------------------------------------------------------ *)
 (* Processes and threads                                               *)
@@ -306,7 +310,6 @@ type thread = {
   mutable treq : req option;
   mutable started : bool;
   mutable cause : int;    (* rid of the request this thread is handling; 0 = root *)
-  mutable root : int;     (* compact root index of [cause]; 0 = system bucket *)
   mutable out_rid : int;  (* rid of this thread's outstanding Call, for reply matching *)
   occ : int array;
 }
@@ -390,10 +393,6 @@ type t = {
   mutable halt_on_exit : Endpoint.t option;
   mutable next_user_ep : int;
   mutable fault_hook : (site -> fault_action option) option;
-  mutable site_recorder : (site -> unit) option;
-  (* Cached [fault_hook <> None || site_recorder <> None]: [op_site]
-     runs per op and must not pay two polymorphic compares there. *)
-  mutable siting : bool;
   mutable capture : Capture.t option;  (* the one observer tap *)
   mutable cycle_hook : (Endpoint.t -> slot -> int -> unit) option;
   mutable profiling : bool;  (* procs carry per-slot counter rows *)
@@ -425,18 +424,6 @@ type t = {
   mutable next_sample : int;
   mutable sample_hook : (int -> unit) option;
   mutable next_rid : int;
-  (* Per-request cycle charging ([enable_request_counts]): every rid is
-     mapped at delivery to the compact index of its causal root (the
-     nearest ancestor delivered with parent = 0), and every clock
-     advance bumps one row of the flat [req_prof] matrix for the active
-     thread's root. Index 0 is the system bucket (boot, idle inbox
-     waits, work outside any request). *)
-  mutable req_counting : bool;
-  mutable rid_slot : int array;    (* rid -> root index; 0 = system *)
-  mutable root_rids : int array;   (* root index -> the root's own rid *)
-  mutable root_owner : int array;  (* root index -> source endpoint *)
-  mutable n_roots : int;
-  mutable req_prof : int array;    (* [root * n_phases + phase] cycles *)
   mutable n_shed : int;  (* user exits with EAGAIN shed status 75 *)
 }
 
@@ -452,8 +439,6 @@ let create cfg =
     halt_on_exit = None;
     next_user_ep = Endpoint.first_user;
     fault_hook = None;
-    site_recorder = None;
-    siting = false;
     capture = None;
     cycle_hook = None;
     profiling = false;
@@ -475,23 +460,9 @@ let create cfg =
     next_sample = max_int;
     sample_hook = None;
     next_rid = 0;
-    req_counting = false;
-    rid_slot = [||];
-    root_rids = [||];
-    root_owner = [||];
-    n_roots = 1;
-    req_prof = [||];
     n_shed = 0 }
 
-let refresh_siting t =
-  t.siting <-
-    (match t.fault_hook, t.site_recorder with
-     | None, None -> false
-     | _ -> true)
-
-let set_fault_hook t hook =
-  t.fault_hook <- hook;
-  refresh_siting t
+let set_fault_hook t hook = t.fault_hook <- hook
 
 let set_capture t c = t.capture <- c
 
@@ -628,16 +599,6 @@ let[@inline] cycles t p slot c =
        let g = t.phase_prof in
        Array.unsafe_set g ph (Array.unsafe_get g ph + c)
      end);
-    (* Per-request charging rides the same emission: one more flat
-       array bump keyed by the active thread's cached root index, so
-       the identity "sum over roots of a phase's row = the kernel's
-       phase total" holds exactly whenever both counters are on. *)
-    if t.req_counting then begin
-      let ri = match p.active with Some th -> th.root | None -> 0 in
-      let i = (ri * n_phases) + Array.unsafe_get slot_phase_idx slot in
-      let rp = t.req_prof in
-      Array.unsafe_set rp i (Array.unsafe_get rp i + c)
-    end;
     match t.cycle_hook with
     | Some f -> f p.ep slot c
     | None -> ()
@@ -675,88 +636,16 @@ let[@inline] alloc_rid t =
   t.next_rid <- t.next_rid + 1;
   t.next_rid
 
-(* Root-index lookup for a rid; 0 (system) for anything unmapped. *)
-let[@inline] root_of t rid =
-  if rid > 0 && rid < Array.length t.rid_slot then
-    Array.unsafe_get t.rid_slot rid
-  else 0
-
-(* Record a freshly delivered rid's causal root. Delivery with
-   parent = 0 opens a new root (a top-level request); anything else
-   inherits its parent's root, so a whole sendrec subtree shares one
-   row of [req_prof]. Growth is amortized doubling; recording is off
-   the per-op hot path (once per delivered message). *)
-let record_rid_root t ~rid ~parent ~src =
-  (if rid >= Array.length t.rid_slot then begin
-     let ncap = max (rid + 1) (max 1024 (2 * Array.length t.rid_slot)) in
-     let a = Array.make ncap 0 in
-     Array.blit t.rid_slot 0 a 0 (Array.length t.rid_slot);
-     t.rid_slot <- a
-   end);
-  if parent = 0 then begin
-    let ri = t.n_roots in
-    (if ri >= Array.length t.root_rids then begin
-       let ncap = max 256 (2 * Array.length t.root_rids) in
-       let rr = Array.make ncap 0 in
-       Array.blit t.root_rids 0 rr 0 (Array.length t.root_rids);
-       t.root_rids <- rr;
-       let ro = Array.make ncap 0 in
-       Array.blit t.root_owner 0 ro 0 (Array.length t.root_owner);
-       t.root_owner <- ro;
-       let pf = Array.make (ncap * n_phases) 0 in
-       Array.blit t.req_prof 0 pf 0 (Array.length t.req_prof);
-       t.req_prof <- pf
-     end);
-    t.n_roots <- ri + 1;
-    t.root_rids.(ri) <- rid;
-    t.root_owner.(ri) <- src;
-    t.rid_slot.(rid) <- ri
-  end
-  else t.rid_slot.(rid) <- root_of t parent
-
-let enable_request_counts t =
-  if not t.req_counting then begin
-    t.req_counting <- true;
-    t.rid_slot <- Array.make (max 1024 (t.next_rid + 1)) 0;
-    t.root_rids <- Array.make 256 0;
-    t.root_owner <- Array.make 256 0;
-    t.req_prof <- Array.make (256 * n_phases) 0;
-    t.n_roots <- 1
-  end
-
-let request_counts_enabled t = t.req_counting
-let request_count t = if t.req_counting then t.n_roots - 1 else 0
-
-let request_rows t =
-  if not t.req_counting then []
-  else
-    List.init (t.n_roots - 1) (fun i ->
-        let ri = i + 1 in
-        (t.root_rids.(ri), t.root_owner.(ri),
-         Array.sub t.req_prof (ri * n_phases) n_phases))
-
-let system_request_row t =
-  if t.req_counting then Array.sub t.req_prof 0 n_phases
-  else Array.make n_phases 0
-
-let request_root_of t rid =
-  let ri = root_of t rid in
-  if ri = 0 then 0 else t.root_rids.(ri)
-
 let shed_exits t = t.n_shed
 
-let set_site_recorder t recorder =
-  t.site_recorder <- recorder;
-  refresh_siting t
 let set_halt_on_exit t ep = t.halt_on_exit <- Some ep
 
-let fresh_thread t p ?(started = true) ?req view =
+let fresh_thread p ?(started = true) ?req view =
   let tid = p.tid_counter in
   p.tid_counter <- p.tid_counter + 1;
   let cause = match req with Some r -> r.rq_rid | None -> 0 in
   { tid; tstate = T_ready; tview = view; treq = req; started; cause;
-    root = root_of t cause; out_rid = 0;
-    occ = Array.make n_op_kinds 0 }
+    out_rid = 0; occ = Array.make n_op_kinds 0 }
 
 (* A user thread's way out — a failure, a return without exit(), a
    machine check, a kill — is an exit through PM, so the process table
@@ -907,7 +796,6 @@ let requester_of p =
 
 let deliver_to_inbox t ?at ~src ~src_tid ~call ~rid ~parent dst msg =
   let at = match at with Some a -> a | None -> t.global_now in
-  if t.req_counting then record_rid_root t ~rid ~parent ~src;
   match proc_of t dst with
   | None ->
     t.n_orphans <- t.n_orphans + 1;
@@ -918,7 +806,7 @@ let deliver_to_inbox t ?at ~src ~src_tid ~call ~rid ~parent dst msg =
          blocked forever (visible as a hang). *)
       t.n_orphans <- t.n_orphans + 1
     else begin
-      if t.cfg.trace then
+      if tracing () then
         Log.debug (fun m ->
             m "t=%-10d %s -> %s  %s%s" at (Endpoint.server_name src)
               (Endpoint.server_name dst)
@@ -1060,7 +948,7 @@ and k_go t p =
    | Server_proc ->
      (match p.loop_prog with
       | Some loop ->
-        let th = fresh_thread t p (Prog.start loop) in
+        let th = fresh_thread p (Prog.start loop) in
         p.threads <- p.threads @ [ th ];
         Queue.push th p.runq
       | None -> ())
@@ -1192,7 +1080,7 @@ let add_server t srv =
       prof = (if t.profiling then prof_row () else [||]) }
   in
   let main =
-    fresh_thread t p
+    fresh_thread p
       (Prog.start (Prog.bind srv.srv_init (fun () -> srv.srv_loop)))
   in
   p.threads <- [ main ];
@@ -1243,7 +1131,7 @@ let spawn_at t ~at ~name ~view ~parent =
       exit_vtime = -1;
       prof = (if t.profiling then prof_row () else [||]) }
   in
-  let th = fresh_thread t p view in
+  let th = fresh_thread p view in
   p.threads <- [ th ];
   Queue.push th p.runq;
   Hashtbl.replace t.procs ep p;
@@ -1301,7 +1189,7 @@ let live_update_internal t ep loop =
       (* Retire the old loop thread(s) and start the new code over the
          preserved state, exactly like a recovered clone. *)
       p.threads <- [];
-      let th = fresh_thread t p (Prog.start loop) in
+      let th = fresh_thread p (Prog.start loop) in
       p.threads <- [ th ];
       Queue.push th p.runq;
       sync_to t p sl_wait_resume t.global_now;
@@ -1354,7 +1242,7 @@ let exec_kcall t p kc : Prog.kresult =
        (match t.cfg.lookup_program path with
         | None -> Prog.Kr_err Errno.ENOENT
         | Some f ->
-          let th = fresh_thread t pp (Prog.start (f arg)) in
+          let th = fresh_thread pp (Prog.start (f arg)) in
           pp.threads <- [ th ];
           Queue.clear pp.runq;
           pp.active <- None;
@@ -1501,9 +1389,10 @@ let coverage _t p =
     | _ -> ()
   end
 
-(* Build the site for this op and consult recorder/fault hook. *)
+(* Build the site for this op and consult the fault hook. *)
 let op_site t p th kind =
-  if p.covering && t.siting then begin
+  match t.fault_hook with
+  | Some hook when p.covering ->
     let idx = op_kind_index kind in
     (* Cap the occurrence index: a fault site models a *static* program
        location, and loop iterations re-execute the same location. The
@@ -1516,12 +1405,8 @@ let op_site t p th kind =
         site_kind = kind;
         site_occ = occ }
     in
-    (match t.site_recorder with Some f -> f site | None -> ());
-    match t.fault_hook with
-    | Some hook -> hook site
-    | None -> None
-  end
-  else None
+    hook site
+  | _ -> None
 
 exception Thread_parked
 exception Thread_finished
@@ -1778,7 +1663,6 @@ let step t p th =
     if p.kind = Server_proc then close_window_if_open ~rid:th.cause t p;
     th.treq <- None;
     th.cause <- 0;
-    th.root <- 0;
     (match op_site t p th Op_receive with
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
      | Some F_hang -> park_hung t p
@@ -1804,7 +1688,6 @@ let step t p th =
                rq_msg = entry.ib_msg;
                rq_rid = entry.ib_rid };
       th.cause <- entry.ib_rid;
-      th.root <- root_of t entry.ib_rid;
       if t.booted then begin
         let tag = Message.Tag.of_msg entry.ib_msg in
         Hashtbl.replace p.handler_tally tag
@@ -1840,7 +1723,7 @@ let step t p th =
        (match reply_target ~callee:p.ep ~pref None rp.threads with
         | None -> t.n_orphans <- t.n_orphans + 1
         | Some th' ->
-          if t.cfg.trace then
+          if tracing () then
             Log.debug (fun m ->
                 m "t=%-10d %s => %s  reply %s" p.vtime
                   (Endpoint.server_name p.ep) (Endpoint.server_name dst)
@@ -1867,7 +1750,7 @@ let step t p th =
      | Some (F_crash r) -> crash_proc t p r; raise Thread_finished
      | _ -> ());
     charge t p sl_spawn costs.Costs.c_spawn;
-    let nth = fresh_thread t p ~started:false ?req:th.treq (Prog.start prog) in
+    let nth = fresh_thread p ~started:false ?req:th.treq (Prog.start prog) in
     p.threads <- p.threads @ [ nth ];
     Queue.push nth p.runq;
     th.tview <- Prog.next f k ()

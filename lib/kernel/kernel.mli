@@ -118,8 +118,8 @@ type config = {
   lookup_program : string -> (int -> unit Prog.t) option;
       (** Executable registry used by [K_exec]. *)
   log_sink : (string -> unit) option;
-      (** Receives [Diag] lines. *)
-  trace : bool;
+      (** Receives [Diag] lines. Per-message IPC tracing is on when
+          the ["osiris.kernel"] log source is at debug level. *)
 }
 
 val default_config : ?arch:arch -> ?seed:int ->
@@ -297,44 +297,6 @@ val set_cycle_hook : t -> (Endpoint.t -> slot -> int -> unit) option -> unit
     emission point pays a single branch (gated in
     [bench/profiler_bench.ml]). *)
 
-(** {1 Per-request cycle charging}
-
-    The per-process/per-slot counters above answer {e where} cycles
-    went; these answer {e on whose behalf}. Every delivered rid is
-    mapped to its causal root — the nearest ancestor delivered with
-    [parent = 0], i.e. a top-level request — and each clock advance
-    also bumps one per-phase row keyed by the active thread's root.
-    Root index 0 is the system bucket: boot, idle inbox waits, and
-    work outside any request. Enabled before {!boot}, the counters
-    satisfy the exact identity: for every phase, the sum over all
-    roots (system included) of that phase's row equals
-    {!total_phase_cycles} — gated with zero tolerance in
-    [bench/critpath_bench.ml], alongside its <3% attached-overhead
-    gate vs per-slot counting alone. *)
-
-val enable_request_counts : t -> unit
-(** Switch per-request charging on (idempotent; cannot be disabled).
-    Enable before {!boot} for the conservation identity to hold —
-    rids allocated earlier fall into the system bucket. *)
-
-val request_counts_enabled : t -> bool
-
-val request_count : t -> int
-(** Number of request roots charged so far (system bucket excluded). *)
-
-val request_rows : t -> (int * Endpoint.t * int array) list
-(** [(root_rid, src, row)] per root in creation order: the root's own
-    rid, the endpoint that sent it, and its per-phase cycle row
-    (indexed by {!phase_index}, a fresh copy). *)
-
-val system_request_row : t -> int array
-(** The system bucket's per-phase row (a fresh copy; zeros before
-    {!enable_request_counts}). *)
-
-val request_root_of : t -> int -> int
-(** The root rid a delivered rid was charged under (0 = system /
-    unknown). *)
-
 val live_update : t -> Endpoint.t -> unit Prog.t -> (unit, string) result
 (** Replace a server's request-processing loop with a new version,
     preserving its state — a live update built from the recovery
@@ -347,10 +309,10 @@ val live_update : t -> Endpoint.t -> unit Prog.t -> (unit, string) result
 (** {1 Fault hooks} *)
 
 val set_fault_hook : t -> (site -> fault_action option) option -> unit
-(** Consulted for every post-boot server operation. *)
-
-val set_site_recorder : t -> (site -> unit) option -> unit
-(** Profiling support: called for every post-boot server operation. *)
+(** Consulted for every post-boot server operation, with its {!site}.
+    A hook that only records and returns [None] is a site profiler
+    ([Campaign.profile_sites]). With no hook installed an operation
+    builds no site and counts no occurrence. *)
 
 (** {1 Introspection} *)
 

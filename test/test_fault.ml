@@ -43,6 +43,19 @@ let test_profile_covers_all_servers () =
          (List.exists (fun s -> s.Kernel.site_ep = ep) sites))
     System.core_servers
 
+(* The whole seed-42 enhanced profile, pinned: its length and the MD5
+   of its site names joined one per line. Which ops are offered as
+   sites, their first-seen order and the occurrence cap all feed it, so
+   a change to how sites are recorded moves it. *)
+let test_profile_seed42_pin () =
+  let sites = Campaign.profile_sites ~seed:42 Policy.enhanced in
+  Alcotest.(check int) "site count" 660 (List.length sites);
+  Alcotest.(check string) "md5 of site names"
+    "fb26758aabdc46fa5ad0192837929027"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n" (List.map Kernel.site_to_string sites))))
+
 (* ---------------- selection --------------------------------------- *)
 
 let test_select_sample_size () =
@@ -322,7 +335,8 @@ let () =
             test_profile_occurrence_capped;
           Alcotest.test_case "distinct" `Quick test_profile_distinct;
           Alcotest.test_case "covers all servers" `Quick
-            test_profile_covers_all_servers ] );
+            test_profile_covers_all_servers;
+          Alcotest.test_case "seed-42 pin" `Quick test_profile_seed42_pin ] );
       ( "selection",
         [ Alcotest.test_case "sample size" `Quick test_select_sample_size;
           Alcotest.test_case "zero takes all" `Quick test_select_zero_takes_all;

@@ -7,7 +7,7 @@
    (e.g. wall.overhead_pct) and compared; relative moves beyond the
    threshold (default 10%) are flagged as DRIFT. Fields under "gates"
    are booleans: a gate that was true in OLD and false in NEW is a
-   REGRESSION. A path of OLD missing from NEW is GONE — the artifact's
+   REGRESSION, as is any move of an exact field (see below). A path of OLD missing from NEW is GONE — the artifact's
    schema shrank — and also a regression; paths only in NEW are
    allowed. Any regression makes the exit status 1. Drift alone exits
    0 — wall times vary across machines, so the CI step that runs this
@@ -21,7 +21,10 @@
    Paths listed there compare against their own tolerance instead of
    the global threshold (the baseline's entry wins; the new artifact
    is consulted for paths the baseline does not mention). The
-   "tolerances" subtree itself is never diffed.
+   "tolerances" subtree itself is never diffed. A tolerance of 0 marks
+   an exact field — one the seed determines, like a minor-word count —
+   and any move of it is a REGRESSION, not DRIFT: a stale baseline
+   fails instead of passing silently.
 
    Calibration gating: an artifact whose "calibration.ideal" is below
    1 was produced on a host that could not parallelize even its own
@@ -197,7 +200,13 @@ let () =
         | _ -> None)
       kv
   in
-  let tolerances = tolerance_of old_kv @ tolerance_of new_kv in
+  let tolerances =
+    let old_tol = tolerance_of old_kv in
+    old_tol
+    @ List.filter
+        (fun (path, _) -> not (List.mem_assoc path old_tol))
+        (tolerance_of new_kv)
+  in
   let threshold_for path =
     match List.assoc_opt path tolerances with
     | Some pct -> pct
@@ -248,7 +257,12 @@ let () =
              if ov = 0. then infinity else 100. *. (n -. ov) /. Float.abs ov
            in
            let allowed = threshold_for path in
-           if Float.abs rel > allowed then
+           if allowed = 0. then begin
+             incr regressions;
+             Printf.printf "  REGRESSED %-42s %g -> %g (exact field)\n"
+               path ov n
+           end
+           else if Float.abs rel > allowed then
              if is_informational path then
                Printf.printf "  info      %-42s %g -> %g (%+.1f%%)\n"
                  path ov n rel
@@ -271,9 +285,9 @@ let () =
        end)
     old_kv;
   if !regressions > 0 || !gone > 0 then begin
-    Printf.printf "%d gate regression(s), %d gone path(s)\n" !regressions !gone;
+    Printf.printf "%d regression(s), %d gone path(s)\n" !regressions !gone;
     exit 1
   end
   else
-    Printf.printf "no gate regressions (%d numeric drift(s) over %.1f%%)\n"
+    Printf.printf "no regressions (%d numeric drift(s) over %.1f%%)\n"
       !drifts !threshold
